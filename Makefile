@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race test-race test-faults verify ripple-vet vet-sarif staticcheck govulncheck lint tools bench bench-smoke bench-smoke-storage bench-smoke-cache bench-smoke-plan bench-smoke-recovery bench-json bench-recovery bench-storage bench-cache bench-plan examples results results-paper trace-demo clean
+.PHONY: all build test race test-race test-faults test-benchmark verify ripple-vet vet-sarif staticcheck govulncheck lint tools bench bench-smoke bench-smoke-storage bench-smoke-cache bench-smoke-plan bench-smoke-recovery bench-json bench-compare bench-recovery bench-storage bench-cache bench-plan examples results results-paper trace-demo clean
 
 all: build test
 
@@ -46,6 +46,12 @@ test-faults:
 			RIPPLE_STORAGE=$$eng $(GO) test -race -shuffle=$$seed -run $(FAULT_TESTS) $(FAULT_PKGS) || exit 1; \
 		done; \
 	done
+
+# benchmark/ is a module of its own, so ./... never reaches it: this runs the
+# harness's tests (-short skips the fleet smoke run). It is what catches a
+# change to a surface benchmark/sut compiles against.
+test-benchmark:
+	$(GO) test -C benchmark -short ./...
 
 # ripple-vet: the repository's own invariant checker (internal/lint). It
 # enforces the determinism, aliasing, locking, deadline, failure-accounting,
@@ -90,9 +96,10 @@ tools:
 lint: ripple-vet staticcheck govulncheck
 
 # The full pre-merge gate: build + go vet + ripple-vet + external linters +
-# shuffled tests + full race sweep + seeded fault matrix + benchmark smoke
-# (every benchmark must still compile and run one iteration).
-verify: build lint test test-race test-faults bench-smoke
+# shuffled tests + the benchmark harness's own tests + full race sweep +
+# seeded fault matrix + benchmark smoke (every benchmark must still compile
+# and run one iteration).
+verify: build lint test test-benchmark test-race test-faults bench-smoke
 
 # One testing.B benchmark per paper table/figure plus micro-benchmarks.
 bench:
@@ -151,6 +158,15 @@ BENCH_JSON_PKGS = ./internal/wire/ ./internal/topk/ ./internal/netpeer/ .
 # benchmark) as deterministic JSON.
 bench-json:
 	$(GO) test -run=NONE -bench=. -benchmem $(BENCH_JSON_PKGS) | $(GO) run ./cmd/ripple-benchjson > BENCH_PR5.json
+
+# The judge of BENCHMARK.json against its committed baseline: all four
+# workloads on real ripple-serve fleets, three runs each (about eight
+# minutes), then one row per (workload, metric); exits 1 if any end-to-end
+# metric regressed beyond its bound. Timings are only comparable on the box
+# the baseline was taken on, so CI runs this as a non-blocking job.
+bench-compare:
+	bash benchmark/run.sh -workload all -runs 3 -out benchmark/out/compare.json
+	bash benchmark/run.sh -compare benchmark/baseline/seed.json benchmark/out/compare.json
 
 # Regenerate the committed recovery baseline: top-k recall and unrecoverable
 # regions per zone replication factor across drop rates (BENCH_PR6.json).

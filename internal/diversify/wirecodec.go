@@ -7,73 +7,62 @@ import (
 
 	"ripple/internal/core"
 	"ripple/internal/dataset"
-	"ripple/internal/geom"
 	"ripple/internal/wire"
 )
 
 // WireCodec serialises single-tuple diversification queries and states for
 // networked peers; it implements the wire.Codec interface. The query carries
-// the query point, λ, the metric names, the base set O, the exclusion list
-// and the initial threshold; states are the φ threshold.
+// the query point, λ, the two metrics, the base set O, the exclusion list
+// and the initial threshold, in that order after the tag; states are the φ
+// threshold.
 type WireCodec struct{}
-
-type wireParams struct {
-	Q       geom.Point
-	Lambda  float64
-	Dr, Dv  string // "L1" | "L2"
-	Base    []dataset.Tuple
-	Exclude []uint64
-	Tau0    float64
-}
 
 // Name implements wire.Codec.
 func (WireCodec) Name() string { return "diversify" }
 
-var (
-	paramsPool = wire.NewPayloadPool(&wireParams{})
-	phiPool    = wire.NewPayloadPool(new(float64))
-)
-
 // EncodeParams builds the wire descriptor for one single-tuple query.
 func (WireCodec) EncodeParams(q Query, base []dataset.Tuple, exclude map[uint64]bool, tau0 float64) ([]byte, error) {
-	p := wireParams{Q: q.Q, Lambda: q.Lambda, Dr: q.Dr.Name(), Dv: q.Dv.Name(), Base: base, Tau0: tau0}
+	ids := make([]uint64, 0, len(exclude))
 	for id := range exclude {
-		p.Exclude = append(p.Exclude, id)
+		ids = append(ids, id)
 	}
 	// Sort so the wire bytes are a pure function of the query: map iteration
 	// order would otherwise make byte-identical replays impossible.
-	sort.Slice(p.Exclude, func(i, j int) bool { return p.Exclude[i] < p.Exclude[j] })
-	return paramsPool.Encode(&p)
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+
+	b := wire.AppendFloat(wire.AppendPoint([]byte{wire.TagDiversifyParams}, q.Q), q.Lambda)
+	b, err := wire.AppendMetric(b, q.Dr)
+	if err == nil {
+		b, err = wire.AppendMetric(b, q.Dv)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("diversify: %w", err)
+	}
+	b = wire.AppendTuples(b, base)
+	b = wire.AppendUint64s(b, ids)
+	return wire.AppendFloat(b, tau0), nil
 }
 
 // NewProcessor implements wire.Codec.
 func (WireCodec) NewProcessor(params []byte) (core.Processor, error) {
-	var p wireParams
-	if err := paramsPool.Decode(params, &p); err != nil {
+	r := wire.NewReader(params, wire.TagDiversifyParams)
+	p := &Processor{Query: Query{Q: r.Point(), Lambda: r.Float(), Dr: r.Metric(), Dv: r.Metric()}, Base: r.Tuples()}
+	ids := r.Uint64s()
+	p.Tau0 = r.Float()
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("diversify: decode params: %w", err)
 	}
-	metric := func(name string) geom.Metric {
-		if name == "L2" {
-			return geom.L2
-		}
-		return geom.L1
+	p.Exclude = make(map[uint64]bool, len(ids))
+	for _, id := range ids {
+		p.Exclude[id] = true
 	}
-	exclude := make(map[uint64]bool, len(p.Exclude))
-	for _, id := range p.Exclude {
-		exclude[id] = true
-	}
-	return &Processor{
-		Query:   Query{Q: p.Q, Lambda: p.Lambda, Dr: metric(p.Dr), Dv: metric(p.Dv)},
-		Base:    p.Base,
-		Exclude: exclude,
-		Tau0:    p.Tau0,
-	}, nil
+	return p, nil
 }
 
-// EncodeState implements wire.Codec: the φ threshold.
+// EncodeState implements wire.Codec: tag, φ.
 func (WireCodec) EncodeState(s core.State) ([]byte, error) {
-	phi := float64(s.(state))
-	return phiPool.Encode(&phi)
+	b := make([]byte, 0, 9)
+	return wire.AppendFloat(append(b, wire.TagDiversifyState), float64(s.(state))), nil
 }
 
 // DecodeState implements wire.Codec. Empty input yields +Inf (note that the
@@ -83,8 +72,9 @@ func (WireCodec) DecodeState(b []byte) (core.State, error) {
 	if len(b) == 0 {
 		return state(math.Inf(1)), nil
 	}
-	var v float64
-	if err := phiPool.Decode(b, &v); err != nil {
+	r := wire.NewReader(b, wire.TagDiversifyState)
+	v := r.Float()
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("diversify: decode state: %w", err)
 	}
 	return state(v), nil

@@ -10,62 +10,40 @@ import (
 )
 
 // WireCodec serialises kNN queries and states for networked peers; it
-// implements the wire.Codec interface. The metric travels as its canonical
-// name ("L1"/"L2"), so encodings are deterministic and ripple-vet clean.
+// implements the wire.Codec interface.
 type WireCodec struct{}
-
-// wireParams is the on-wire query descriptor.
-type wireParams struct {
-	K      int
-	Center geom.Point
-	Metric string // "L1" | "L2"
-}
-
-// stateWire is the on-wire (m, ρ) pair, flat so the pooled gob path is
-// allocation-free (see internal/wire/pool.go).
-type stateWire struct {
-	M   int
-	Rho float64
-}
-
-var (
-	paramsPool = wire.NewPayloadPool(&wireParams{})
-	statePool  = wire.NewPayloadPool(&stateWire{})
-)
 
 // Name implements wire.Codec.
 func (WireCodec) Name() string { return "knn" }
 
-// EncodeParams builds the wire descriptor for a query. A nil metric encodes
-// as Euclidean.
+// EncodeParams builds the wire descriptor for a query: tag, K, centre,
+// metric. A nil metric encodes as Euclidean.
 func (WireCodec) EncodeParams(center geom.Point, k int, m geom.Metric) ([]byte, error) {
-	name := "L2"
-	if m != nil {
-		name = m.Name()
+	if m == nil {
+		m = geom.L2
 	}
-	if name != "L1" && name != "L2" {
-		return nil, fmt.Errorf("knn: metric %q not wire-encodable", name)
+	b, err := wire.AppendMetric(wire.AppendPoint(wire.AppendInt([]byte{wire.TagKNNParams}, k), center), m)
+	if err != nil {
+		return nil, fmt.Errorf("knn: %w", err)
 	}
-	return paramsPool.Encode(&wireParams{K: k, Center: center, Metric: name})
+	return b, nil
 }
 
 // NewProcessor implements wire.Codec.
 func (WireCodec) NewProcessor(params []byte) (core.Processor, error) {
-	var p wireParams
-	if err := paramsPool.Decode(params, &p); err != nil {
+	r := wire.NewReader(params, wire.TagKNNParams)
+	p := &Processor{K: r.Int(), Center: r.Point(), Metric: r.Metric()}
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("knn: decode params: %w", err)
 	}
-	m := geom.Metric(geom.L2)
-	if p.Metric == "L1" {
-		m = geom.L1
-	}
-	return &Processor{Center: p.Center, K: p.K, Metric: m}, nil
+	return p, nil
 }
 
-// EncodeState implements wire.Codec: the (m, ρ) pair.
+// EncodeState implements wire.Codec: tag, m, ρ.
 func (WireCodec) EncodeState(s core.State) ([]byte, error) {
 	st := s.(state)
-	return statePool.Encode(&stateWire{M: st.m, Rho: st.rho})
+	b := make([]byte, 0, 17)
+	return wire.AppendFloat(wire.AppendInt(append(b, wire.TagKNNState), st.m), st.rho), nil
 }
 
 // DecodeState implements wire.Codec. Empty input yields the neutral state.
@@ -73,9 +51,10 @@ func (WireCodec) DecodeState(b []byte) (core.State, error) {
 	if len(b) == 0 {
 		return state{m: 0, rho: math.Inf(-1)}, nil
 	}
-	var st stateWire
-	if err := statePool.Decode(b, &st); err != nil {
+	r := wire.NewReader(b, wire.TagKNNState)
+	st := state{m: r.Int(), rho: r.Float()}
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("knn: decode state: %w", err)
 	}
-	return state{m: st.M, rho: st.Rho}, nil
+	return st, nil
 }

@@ -1,13 +1,12 @@
-// poolcheck: flow-sensitive pool hygiene (DESIGN.md §10.6). The pooled gob
-// codecs (PR 4) and the netpeer connection pool (PR 4/5) hand out reusable
-// objects whose loss is invisible at runtime — a dropped warm encoder just
-// means a fresh allocation next time — so the only guard against silently
-// regressing the zero-alloc hot path is static: every value obtained from a
-// pool must, on every path to the function exit, either be returned to the
-// pool (Put, directly or through a releaser helper), closed, handed off
-// (returned or stored in longer-lived state), or be provably nil. Deliberate
-// drops (a codec that errored has unknown stream state and must NOT be
-// pooled) are documented with a reasoned //lint:ignore.
+// poolcheck: flow-sensitive pool hygiene (DESIGN.md §10.6). The wire frame
+// buffers and the netpeer connection pool hand out reusable objects whose
+// loss is invisible at runtime — a dropped buffer just means a fresh
+// allocation next time — so the only guard against silently regressing the
+// low-alloc hot path is static: every value obtained from a pool must, on
+// every path to the function exit, either be returned to the pool (Put,
+// directly or through a releaser helper), closed, handed off (returned or
+// stored in longer-lived state), or be provably nil. A deliberate drop is
+// documented with a reasoned //lint:ignore.
 //
 // The second half of the contract is temporal: a value returned to the pool
 // belongs to the next Get, so any use after the Put is a data race with a

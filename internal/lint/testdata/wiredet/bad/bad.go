@@ -3,23 +3,16 @@
 // determinism matcher cannot see.
 package fixture
 
-import (
-	"bytes"
-	"encoding/gob"
-)
+import "ripple/internal/wire"
 
 // Encode serialises map keys in whatever order Go iterates them.
-func Encode(m map[string]int) ([]byte, error) {
-	var keys []string
+func Encode(m map[uint64]bool) []byte {
+	var keys []uint64
 	for k := range m {
 		keys = append(keys, k)
 	}
-	names := keys
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(names); err != nil { // want `"names" carries map-iteration order into gob\.Encoder\.Encode`
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	ids := keys
+	return wire.AppendUint64s(nil, ids) // want `"ids" carries map-iteration order into wire\.AppendUint64s`
 }
 
 // CanonicalForm is a canonical-form builder by naming convention: feeding it

@@ -2,35 +2,27 @@
 package fixture
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sort"
+
+	"ripple/internal/wire"
 )
 
 // EncodeSorted sorts the keys before they reach the encoder.
-func EncodeSorted(m map[string]int) ([]byte, error) {
-	var keys []string
+func EncodeSorted(m map[uint64]bool) []byte {
+	var keys []uint64
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(keys); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return wire.AppendUint64s(nil, keys)
 }
 
 // Launder shows that order-insensitive derivations (len) are not taint.
-func Launder(m map[string]int) ([]byte, error) {
-	var keys []string
+func Launder(m map[uint64]bool) []byte {
+	var keys []uint64
 	for k := range m {
 		keys = append(keys, k)
 	}
 	count := len(keys)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(count); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return wire.AppendInt(nil, count)
 }

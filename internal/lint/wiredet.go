@@ -1,12 +1,13 @@
 // wiredet: taint analysis for wire determinism (DESIGN.md §10.7). The replay
 // and cross-runtime equivalence suites compare encoded bytes, so any slice
 // whose element order comes from Go map iteration — which differs between
-// runs by design — must be sorted before it reaches a gob encoder, a frame
-// writer, or a canonical-form builder. PR 3's determinism analyzer catches
-// the append-under-range shape syntactically inside one statement list;
-// wiredet follows the value: through local assignments, through struct
-// fields, and through helper functions (via the cross-package mapOrdered
-// fact), to the encode call that actually puts the bytes on the wire.
+// runs by design — must be sorted before it reaches the wire codec's Append
+// encoders, a frame writer, or a canonical-form builder. PR 3's determinism
+// analyzer catches the append-under-range shape syntactically inside one
+// statement list; wiredet follows the value: through local assignments,
+// through struct fields, and through helper functions (via the cross-package
+// mapOrdered fact), to the encode call that actually puts the bytes on the
+// wire.
 package lint
 
 import (
@@ -18,7 +19,7 @@ import (
 
 var WireDetAnalyzer = &Analyzer{
 	Name: "wiredet",
-	Doc:  "map-iteration order must never flow into a gob encode, frame write, or canonical-form builder",
+	Doc:  "map-iteration order must never flow into a wire Append encode, frame write, or canonical-form builder",
 	Run:  runWireDet,
 }
 
@@ -236,27 +237,19 @@ func taintedArg(info *types.Info, tainted map[types.Object]token.Pos, arg ast.Ex
 }
 
 // encodeSink classifies calls whose arguments end up as wire or canonical
-// bytes.
+// bytes: internal/wire's Append* encoders and Write* framers, and any
+// Canonical* builder.
 func encodeSink(info *types.Info, call *ast.CallExpr) (string, bool) {
 	fn := calleeFunc(info, call)
 	if fn == nil {
 		return "", false
 	}
-	sig, _ := fn.Type().(*types.Signature)
-	path := funcPkgPath(fn)
-	name := fn.Name()
-	if sig != nil && sig.Recv() != nil {
-		recvPath, recvName := namedPathName(sig.Recv().Type())
-		switch {
-		case recvPath == "encoding/gob" && recvName == "Encoder" && name == "Encode":
-			return "gob.Encoder.Encode", true
-		case strings.HasSuffix(recvPath, "internal/wire") && recvName == "PayloadPool" &&
-			(name == "Encode" || name == "AppendEncode"):
-			return "wire.PayloadPool." + name, true
-		}
+	if sig, _ := fn.Type().(*types.Signature); sig != nil && sig.Recv() != nil {
 		return "", false
 	}
-	if strings.HasSuffix(path, "internal/wire") && strings.HasPrefix(name, "Write") {
+	name := fn.Name()
+	if strings.HasSuffix(funcPkgPath(fn), "internal/wire") &&
+		(strings.HasPrefix(name, "Append") || strings.HasPrefix(name, "Write")) {
 		return "wire." + name, true
 	}
 	if strings.HasPrefix(name, "Canonical") {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ripple/internal/core"
-	"ripple/internal/dataset"
 	"ripple/internal/geom"
 	"ripple/internal/wire"
 )
@@ -15,21 +14,16 @@ import (
 // partial skylines (tuple sets).
 type WireCodec struct{}
 
-var (
-	boxPool   = wire.NewPayloadPool(&geom.Rect{})
-	tuplePool = wire.NewPayloadPool(&[]dataset.Tuple{})
-)
-
 // Name implements wire.Codec.
 func (WireCodec) Name() string { return "skyline" }
 
 // EncodeParams returns the query descriptor: nil for a full-space skyline,
-// the encoded box for a constrained one.
+// tag and box for a constrained one.
 func (WireCodec) EncodeParams(constraint *geom.Rect) ([]byte, error) {
 	if constraint == nil {
 		return nil, nil
 	}
-	return boxPool.Encode(constraint)
+	return wire.AppendRect([]byte{wire.TagSkylineParams}, *constraint), nil
 }
 
 // NewProcessor implements wire.Codec.
@@ -37,17 +31,17 @@ func (WireCodec) NewProcessor(params []byte) (core.Processor, error) {
 	if len(params) == 0 {
 		return &Processor{}, nil
 	}
-	var box geom.Rect
-	if err := boxPool.Decode(params, &box); err != nil {
+	r := wire.NewReader(params, wire.TagSkylineParams)
+	box := r.Rect()
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("skyline: decode constraint: %w", err)
 	}
 	return &Processor{Constraint: &box}, nil
 }
 
-// EncodeState implements wire.Codec.
+// EncodeState implements wire.Codec: tag, then the tuples.
 func (WireCodec) EncodeState(s core.State) ([]byte, error) {
-	ts := []dataset.Tuple(s.(state))
-	return tuplePool.Encode(&ts)
+	return wire.AppendTuples([]byte{wire.TagSkylineState}, s.(state)), nil
 }
 
 // DecodeState implements wire.Codec. Empty input yields the neutral state.
@@ -55,8 +49,9 @@ func (WireCodec) DecodeState(b []byte) (core.State, error) {
 	if len(b) == 0 {
 		return state(nil), nil
 	}
-	var ts []dataset.Tuple
-	if err := tuplePool.Decode(b, &ts); err != nil {
+	r := wire.NewReader(b, wire.TagSkylineState)
+	ts := r.Tuples()
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("skyline: decode state: %w", err)
 	}
 	return state(ts), nil

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"ripple/internal/core"
-	"ripple/internal/geom"
 	"ripple/internal/wire"
 )
 
@@ -14,27 +13,12 @@ import (
 // Nearest (L1 or L2).
 type WireCodec struct{}
 
-// wireParams is the on-wire query descriptor.
-type wireParams struct {
-	K       int
-	Kind    string // "linear" | "peak" | "nearest"
-	Weights []float64
-	Center  geom.Point
-	Sharp   float64
-	Metric  string // "L1" | "L2" (nearest only)
-}
-
-// stateWire is the on-wire (m, τ) pair. Encode/decode go through pooled gob
-// machinery: states are exchanged on every hop, and stateWire is flat, so
-// the pooled path is allocation-free (see internal/wire/pool.go).
-type stateWire struct {
-	M   int
-	Tau float64
-}
-
-var (
-	paramsPool = wire.NewPayloadPool(&wireParams{})
-	statePool  = wire.NewPayloadPool(&stateWire{})
+// Scorer kinds on the wire. Params are tag, K, kind, then the kind's
+// fields: weights | centre, sharpness | centre, metric.
+const (
+	kindLinear byte = iota + 1
+	kindPeak
+	kindNearest
 )
 
 // Name implements wire.Codec.
@@ -42,48 +26,45 @@ func (WireCodec) Name() string { return "topk" }
 
 // EncodeParams builds the wire descriptor for a query.
 func (WireCodec) EncodeParams(f Scorer, k int) ([]byte, error) {
-	p := wireParams{K: k}
+	b := wire.AppendInt([]byte{wire.TagTopKParams}, k)
 	switch s := f.(type) {
 	case Linear:
-		p.Kind, p.Weights = "linear", s.Weights
+		return wire.AppendPoint(append(b, kindLinear), s.Weights), nil
 	case Peak:
-		p.Kind, p.Center, p.Sharp = "peak", s.Center, s.Sharpness
+		return wire.AppendFloat(wire.AppendPoint(append(b, kindPeak), s.Center), s.Sharpness), nil
 	case Nearest:
-		p.Kind, p.Center, p.Metric = "nearest", s.Center, s.Metric.Name()
+		return wire.AppendMetric(wire.AppendPoint(append(b, kindNearest), s.Center), s.Metric)
 	default:
 		return nil, fmt.Errorf("topk: scorer %T not wire-encodable", f)
 	}
-	return paramsPool.Encode(&p)
 }
 
 // NewProcessor implements wire.Codec.
 func (WireCodec) NewProcessor(params []byte) (core.Processor, error) {
-	var p wireParams
-	if err := paramsPool.Decode(params, &p); err != nil {
+	r := wire.NewReader(params, wire.TagTopKParams)
+	k := r.Int()
+	var f Scorer
+	switch kind := r.Byte(); kind {
+	case kindLinear:
+		f = Linear{Weights: r.Point()}
+	case kindPeak:
+		f = Peak{Center: r.Point(), Sharpness: r.Float()}
+	case kindNearest:
+		f = Nearest{Center: r.Point(), Metric: r.Metric()}
+	default:
+		r.Fail("unknown scorer kind %d", kind)
+	}
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("topk: decode params: %w", err)
 	}
-	var f Scorer
-	switch p.Kind {
-	case "linear":
-		f = Linear{Weights: p.Weights}
-	case "peak":
-		f = Peak{Center: p.Center, Sharpness: p.Sharp}
-	case "nearest":
-		m := geom.Metric(geom.L2)
-		if p.Metric == "L1" {
-			m = geom.L1
-		}
-		f = Nearest{Center: p.Center, Metric: m}
-	default:
-		return nil, fmt.Errorf("topk: unknown scorer kind %q", p.Kind)
-	}
-	return &Processor{F: f, K: p.K}, nil
+	return &Processor{F: f, K: k}, nil
 }
 
-// EncodeState implements wire.Codec: the (m, τ) pair.
+// EncodeState implements wire.Codec: tag, m, τ.
 func (WireCodec) EncodeState(s core.State) ([]byte, error) {
 	st := s.(state)
-	return statePool.Encode(&stateWire{M: st.m, Tau: st.tau})
+	b := make([]byte, 0, 17)
+	return wire.AppendFloat(wire.AppendInt(append(b, wire.TagTopKState), st.m), st.tau), nil
 }
 
 // DecodeState implements wire.Codec. Empty input yields the neutral state.
@@ -91,9 +72,10 @@ func (WireCodec) DecodeState(b []byte) (core.State, error) {
 	if len(b) == 0 {
 		return state{m: 0, tau: math.Inf(1)}, nil
 	}
-	var st stateWire
-	if err := statePool.Decode(b, &st); err != nil {
+	r := wire.NewReader(b, wire.TagTopKState)
+	st := state{m: r.Int(), tau: r.Float()}
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("topk: decode state: %w", err)
 	}
-	return state{m: st.M, tau: st.Tau}, nil
+	return st, nil
 }

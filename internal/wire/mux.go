@@ -1,11 +1,11 @@
 // Multiplexed framing: protocol version 1 of the peer transport.
 //
 // A legacy connection carries strictly alternating call/reply frames, each a
-// 4-byte length prefix plus a gob body, so one slow call head-of-line-blocks
+// 4-byte length prefix plus a body, so one slow call head-of-line-blocks
 // everything behind it. A mux connection interleaves many logical calls: the
 // client opens it with an 8-byte hello (magic + highest supported version),
 // the server answers with the same shape carrying the negotiated version,
-// and from then on every frame is {stream ID, length, gob body}. Replies
+// and from then on every frame is {stream ID, length, body}. Replies
 // come back tagged with the stream they answer, in whatever order subtrees
 // complete.
 //
@@ -18,7 +18,7 @@
 // multiplexing disabled acks version 0, meaning "continue sequentially on
 // this same connection".
 //
-// Frame bodies use the same pooled gob encoding as the legacy path, so the
+// Frame bodies are the same codec.go encoding as on the legacy path, so the
 // payload bytes of a message are identical under either framing; only the
 // header differs.
 package wire
@@ -80,26 +80,12 @@ func ReadMuxVersion(r io.Reader) (uint32, error) {
 	return binary.BigEndian.Uint32(b[:]), nil
 }
 
-// WriteMuxFrame frames and writes one message on the given stream. Like
-// WriteMessage it reuses pooled codec state and issues a single Write, so
-// concurrent writers need only serialise the call itself.
+// WriteMuxFrame frames and writes one message on the given stream: stream
+// ID, body length, body, in a single Write like WriteMessage.
 func WriteMuxFrame(w io.Writer, stream uint32, msg interface{}) error {
-	bp := framePool.Get().(*[]byte)
-	defer putFrameBuf(bp)
-	buf := append((*bp)[:0], 0, 0, 0, 0, 0, 0, 0, 0) // stream + length, patched below
-	buf, err := poolFor(msg).appendEncode(buf, msg)
-	if err != nil {
-		*bp = buf[:0]
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	binary.BigEndian.PutUint32(buf[:4], stream)
-	binary.BigEndian.PutUint32(buf[4:8], uint32(len(buf)-8))
-	_, err = w.Write(buf)
-	*bp = buf[:0]
-	if err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	return nil
+	var hdr [8]byte
+	binary.BigEndian.PutUint32(hdr[:4], stream)
+	return writeFrame(w, hdr[:], msg)
 }
 
 // ReadMuxFrame reads one mux frame into msg and returns its stream ID. On a
@@ -111,22 +97,7 @@ func ReadMuxFrame(r io.Reader, msg interface{}) (uint32, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, err // io.EOF signals a cleanly closed connection
 	}
-	stream := binary.BigEndian.Uint32(hdr[:4])
-	n := binary.BigEndian.Uint32(hdr[4:])
-	if n > MaxFrame {
-		return stream, &FrameSizeError{Size: n}
-	}
-	bp := framePool.Get().(*[]byte)
-	defer putFrameBuf(bp)
-	body, err := readFrameBody(r, int(n), (*bp)[:0])
-	*bp = body[:0]
-	if err != nil {
-		return stream, fmt.Errorf("wire: read body: %w", err)
-	}
-	if err := poolFor(msg).decode(body, msg); err != nil {
-		return stream, fmt.Errorf("wire: decode: %w", err)
-	}
-	return stream, nil
+	return binary.BigEndian.Uint32(hdr[:4]), readBody(r, binary.BigEndian.Uint32(hdr[4:]), msg)
 }
 
 // OverloadedPrefix marks a Reply.Error produced by the server's admission

@@ -81,8 +81,7 @@ func TestMuxFrameRoundTripOutOfOrder(t *testing.T) {
 }
 
 // Payload bytes must be identical under either framing, so the negotiated
-// protocol changes headers only — a legacy peer sees the exact bytes it
-// always did, and codec state is shared across both paths.
+// protocol changes headers only.
 func TestMuxFramePayloadMatchesLegacy(t *testing.T) {
 	call := &Call{QueryType: "topk", Params: []byte{1, 2, 3}, Restrict: overlay.Whole(3), R: 5}
 	var legacy, mux bytes.Buffer

@@ -1,25 +1,22 @@
 // Package wire defines the message format RIPPLE peers exchange when they
-// run over a real transport (see internal/netpeer): a length-prefixed gob
-// envelope carrying the query descriptor, the propagated global state, the
-// restriction area and the ripple parameter downstream, and local states,
-// answer tuples and cost counters upstream.
+// run over a real transport (see internal/netpeer): a length-prefixed
+// fixed-layout binary envelope (codec.go) carrying the query descriptor, the
+// propagated global state, the restriction area and the ripple parameter
+// downstream, and local states, answer tuples and cost counters upstream.
 //
 // Query-type specifics (parameters and state payloads) are opaque byte
-// blobs produced by a per-type Codec, so new query types plug into the wire
-// protocol the same way they plug into the engine.
+// blobs produced by a per-type Codec from the same primitives, so new query
+// types plug into the wire protocol the same way they plug into the engine.
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sync"
 
 	"ripple/internal/core"
 	"ripple/internal/dataset"
-	"ripple/internal/geom"
 	"ripple/internal/overlay"
 	"ripple/internal/trace"
 )
@@ -36,9 +33,8 @@ type Codec interface {
 }
 
 // Mutation operations carried by Call.Op. An empty Op marks a query call;
-// the constants below select the wire-level data-mutation path (v1, added
-// with the result cache of DESIGN.md §15 — gob omits zero-valued fields, so
-// query calls encode exactly as they did before the fields existed).
+// the constants below select the wire-level data-mutation path (added with
+// the result cache of DESIGN.md §15).
 const (
 	OpInsert = "insert"
 	OpDelete = "delete"
@@ -137,8 +133,7 @@ type Reply struct {
 	// the call arrived with r = RAuto and the peer ran a planner: PlanR is the
 	// ripple parameter the query actually executed with and Plan its rendered
 	// decision ("fast", "ripple(2)", ...). Both are zero-valued for static
-	// calls, so — gob omitting zero fields — the reply encodes exactly as it
-	// did before the fields existed.
+	// calls.
 	Plan  string
 	PlanR int
 	// Acks counts the peers that applied a mutation call: the owner plus
@@ -172,13 +167,6 @@ func (r *Reply) RecordLostLink(region overlay.Region, timedOut bool) {
 	r.FailedRegions = append(r.FailedRegions, region)
 }
 
-func init() {
-	gob.Register(geom.Point{})
-	gob.Register(geom.Rect{})
-	gob.Register(overlay.Region{})
-	gob.Register(dataset.Tuple{})
-}
-
 // framePool recycles the frame-assembly and frame-read buffers; frames
 // beyond maxPooledFrame are left to the garbage collector so one huge answer
 // set cannot pin memory in the pool forever.
@@ -192,44 +180,53 @@ func putFrameBuf(b *[]byte) {
 	}
 }
 
-// WriteMessage frames and writes a gob-encoded message. The encoding reuses
-// pooled codec state (see pool.go) and the frame goes out in a single Write;
-// the bytes are identical to a fresh gob encoder's, message for message.
-func WriteMessage(w io.Writer, msg interface{}) error {
+// writeFrame assembles hdr — whose last four bytes are the body length,
+// patched here — and the encoded msg in a pooled buffer and sends them in a
+// single Write, so concurrent writers need only serialise the call itself.
+func writeFrame(w io.Writer, hdr []byte, msg interface{}) error {
 	bp := framePool.Get().(*[]byte)
 	defer putFrameBuf(bp)
-	buf := append((*bp)[:0], 0, 0, 0, 0) // length header, patched below
-	buf, err := poolFor(msg).appendEncode(buf, msg)
-	if err != nil {
-		*bp = buf[:0]
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	_, err = w.Write(buf)
+	buf, err := appendMessage(append((*bp)[:0], hdr...), msg)
 	*bp = buf[:0]
 	if err != nil {
+		return err
+	}
+	n := len(buf) - len(hdr)
+	if n > MaxFrame {
+		return fmt.Errorf("wire: message of %d bytes exceeds limit (%d)", n, MaxFrame)
+	}
+	binary.BigEndian.PutUint32(buf[len(hdr)-4:], uint32(n))
+	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
 }
 
-// writeMessageFresh is the pre-pool reference implementation: a fresh
-// encoder and buffer per message. Kept for byte-identity tests and the
-// before/after benchmarks.
-func writeMessageFresh(w io.Writer, msg interface{}) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
+// readBody reads an n-byte frame body through a pooled buffer and decodes it
+// into msg. A length beyond MaxFrame returns a *FrameSizeError without
+// attempting the allocation.
+func readBody(r io.Reader, n uint32, msg interface{}) error {
+	if n > MaxFrame {
+		return &FrameSizeError{Size: n}
 	}
-	var size [4]byte
-	binary.BigEndian.PutUint32(size[:], uint32(buf.Len()))
-	if _, err := w.Write(size[:]); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
+	bp := framePool.Get().(*[]byte)
+	defer putFrameBuf(bp)
+	body, err := readFrameBody(r, int(n), (*bp)[:0])
+	*bp = body[:0]
+	if err != nil {
+		return fmt.Errorf("wire: read body: %w", err)
 	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("wire: write body: %w", err)
+	if err := decodeMessage(body, msg); err != nil {
+		return fmt.Errorf("wire: decode: %w", err)
 	}
 	return nil
+}
+
+// WriteMessage frames and writes msg, a *Call or *Reply: a 4-byte length,
+// then the body.
+func WriteMessage(w io.Writer, msg interface{}) error {
+	var hdr [4]byte
+	return writeFrame(w, hdr[:], msg)
 }
 
 // MaxFrame bounds a single message; queries and states are small, answers
@@ -295,10 +292,9 @@ func readFrameBody(r io.Reader, n int, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// ReadMessage reads one framed message into msg, reusing pooled frame
-// buffers and decoder state. msg must be a pointer to a zero value: gob
-// leaves fields absent from the stream untouched. A length prefix beyond
-// MaxFrame returns a *FrameSizeError without attempting the allocation.
+// ReadMessage reads one framed message into msg, a *Call or *Reply; every
+// field of *msg is overwritten. A length prefix beyond MaxFrame returns a
+// *FrameSizeError without attempting the allocation.
 func ReadMessage(r io.Reader, msg interface{}) error {
 	var size [4]byte
 	if _, err := io.ReadFull(r, size[:]); err != nil {
@@ -312,40 +308,5 @@ func ReadMessage(r io.Reader, msg interface{}) error {
 // bytes of a connection to dispatch between the sequential and multiplexed
 // protocols (see mux.go) and hands the prefix back here.
 func ReadMessageBody(r io.Reader, prefix [4]byte, msg interface{}) error {
-	n := binary.BigEndian.Uint32(prefix[:])
-	if n > MaxFrame {
-		return &FrameSizeError{Size: n}
-	}
-	bp := framePool.Get().(*[]byte)
-	defer putFrameBuf(bp)
-	body, err := readFrameBody(r, int(n), (*bp)[:0])
-	*bp = body[:0]
-	if err != nil {
-		return fmt.Errorf("wire: read body: %w", err)
-	}
-	if err := poolFor(msg).decode(body, msg); err != nil {
-		return fmt.Errorf("wire: decode: %w", err)
-	}
-	return nil
-}
-
-// readMessageFresh is the pre-pool reference implementation, kept for
-// byte-identity tests and the before/after benchmarks.
-func readMessageFresh(r io.Reader, msg interface{}) error {
-	var size [4]byte
-	if _, err := io.ReadFull(r, size[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(size[:])
-	if n > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return fmt.Errorf("wire: read body: %w", err)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(msg); err != nil {
-		return fmt.Errorf("wire: decode: %w", err)
-	}
-	return nil
+	return readBody(r, binary.BigEndian.Uint32(prefix[:]), msg)
 }

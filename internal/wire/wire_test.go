@@ -88,5 +88,5 @@ func TestReadMessageTruncatedBody(t *testing.T) {
 }
 
 // The codec round-trip tests live in codecs_test.go (package wire_test): the
-// query packages now import wire for payload pooling, so an in-package test
+// query packages import wire for the codec primitives, so an in-package test
 // cannot import them back.
