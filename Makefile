@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race test-race test-faults test-benchmark verify ripple-vet vet-sarif staticcheck govulncheck lint tools bench bench-smoke bench-smoke-storage bench-smoke-cache bench-smoke-plan bench-smoke-recovery bench-json bench-compare bench-recovery bench-storage bench-cache bench-plan examples results results-paper trace-demo clean
+.PHONY: all build test race test-race test-faults test-benchmark fuzz-smoke verify ripple-vet vet-sarif staticcheck govulncheck lint tools bench bench-smoke bench-smoke-storage bench-smoke-cache bench-smoke-plan bench-smoke-recovery bench-json bench-compare bench-recovery bench-storage bench-cache bench-plan examples results results-paper trace-demo clean
 
 all: build test
 
@@ -21,7 +21,7 @@ test:
 
 # Race-detect the concurrency hot spots only (fast).
 race:
-	$(GO) test -race ./internal/async/ ./internal/netpeer/ .
+	$(GO) test -race ./internal/netpeer/ .
 
 # Race-detect everything; part of the verify flow.
 test-race:
@@ -45,6 +45,23 @@ test-faults:
 			echo "== fault matrix: -race -shuffle=$$seed RIPPLE_STORAGE=$$eng =="; \
 			RIPPLE_STORAGE=$$eng $(GO) test -race -shuffle=$$seed -run $(FAULT_TESTS) $(FAULT_PKGS) || exit 1; \
 		done; \
+	done
+
+# Time-boxed fuzzing: every Fuzz* target runs for FUZZ_TIME on top of its
+# committed seed corpus (testdata/fuzz/<Target>/ in its package). -fuzz
+# accepts one target per invocation, hence one go test call each. A crasher
+# is written into that corpus directory; commit it together with the fix.
+# CI runs this as its own step, not inside verify.
+FUZZ_TIME    = 15s
+FUZZ_TARGETS = ./internal/wire/:FuzzDecodeCall ./internal/wire/:FuzzDecodeReply \
+               ./internal/wire/:FuzzCodecs ./internal/wire/:FuzzMuxStream \
+               ./internal/netpeer/:FuzzReadConfig
+
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "== fuzz $$name ($$pkg) for $(FUZZ_TIME) =="; \
+		$(GO) test -run=NONE -fuzz="^$$name\$$" -fuzztime=$(FUZZ_TIME) $$pkg || exit 1; \
 	done
 
 # benchmark/ is a module of its own, so ./... never reaches it: this runs the
@@ -199,11 +216,10 @@ examples:
 	$(GO) run ./examples/custom-query
 	$(GO) run ./examples/distributed
 
-# Render one query's hop tree on each runtime, plus a lossy run: the same
+# Render one query's hop tree on both runtimes, plus a lossy run: the same
 # overlay, query and seed must produce structurally identical trees.
 trace-demo:
 	$(GO) run ./cmd/ripple-trace -peers 16 -query skyline -r 2 -initiator 7 -runtime engine
-	$(GO) run ./cmd/ripple-trace -peers 16 -query skyline -r 2 -initiator 7 -runtime actor
 	$(GO) run ./cmd/ripple-trace -peers 16 -query skyline -r 2 -initiator 7 -runtime tcp
 	$(GO) run ./cmd/ripple-trace -peers 16 -query skyline -r fast -initiator 7 -fault-drop 0.15
 

@@ -1,8 +1,8 @@
 // Cross-runtime result-cache equivalence: a cached answer must be
 // byte-identical to a freshly computed one. For seeded random overlays,
-// every query family and every runtime (structural engine, actor cluster,
-// TCP deployment), the canonical wire encoding of a cache hit must equal the
-// uncached engine's — and a mutation must make the very next query fresh
+// every query family and both runtimes (structural engine, TCP deployment),
+// the canonical wire encoding of a cache hit must equal the uncached
+// engine's — and a mutation must make the very next query fresh
 // (the z-order invalidation contract), while faults must never seed the
 // cache with a degraded answer. This is the property that makes the cache
 // safe to flip on in production: it can only change how fast a repeated
@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"ripple/internal/async"
 	"ripple/internal/cache"
 	"ripple/internal/core"
 	"ripple/internal/dataset"
@@ -50,7 +49,7 @@ func cachedTCPFleet(t *testing.T, n *midas.Network, inj *faults.Injector) (map[s
 }
 
 // TestCachedAnswersByteIdenticalAcrossRuntimes: for each query family and
-// ripple radius, a fill followed by a hit in each runtime; every arm's
+// ripple radius, a fill followed by a hit in both runtimes; every arm's
 // canonical encoding must equal the uncached engine's at the same radius.
 // The radius is part of the cache key — fast and slow propagation emit
 // different candidate sets — so the TCP fleet's cache, which persists across
@@ -79,21 +78,6 @@ func TestCachedAnswersByteIdenticalAcrossRuntimes(t *testing.T) {
 				}
 			}
 
-			// Actor cluster.
-			ac := cache.New(cache.Options{MaxBytes: 1 << 20})
-			cl := async.NewClusterOpts(n, tc.proc, async.ClusterOptions{Cache: ac, CacheKey: key})
-			afill := cl.Run(init.ID(), r)
-			ahit := cl.Run(init.ID(), r)
-			cl.Close()
-			if afill.CacheHit || !ahit.CacheHit {
-				t.Fatalf("%s r=%d: actor fill/hit = %t/%t, want false/true", tc.name, r, afill.CacheHit, ahit.CacheHit)
-			}
-			for arm, res := range map[string]*core.Result{"fill": afill, "hit": ahit} {
-				if !bytes.Equal(cache.EncodeAnswers(res.Answers), want) {
-					t.Fatalf("%s r=%d: actor %s answer not byte-identical to uncached engine", tc.name, r, arm)
-				}
-			}
-
 			// TCP: the fleet's shared per-peer cache must miss (the other
 			// radius's fill has a different key) and then hit.
 			for qi, wantHit := range []bool{false, true} {
@@ -112,9 +96,10 @@ func TestCachedAnswersByteIdenticalAcrossRuntimes(t *testing.T) {
 	}
 }
 
-// TestCacheMutateThenQueryInProcess: the in-process runtimes share the
-// invalidation contract — after a mutation plus InvalidatePoint, the next
-// run must recompute and see the change; re-filling resumes hits.
+// TestCacheMutateThenQueryInProcess: the structural engine honours the
+// invalidation contract — after an insert or a delete plus InvalidatePoint,
+// the next run must recompute and see the change; re-filling resumes hits.
+// (TestMutationInvalidatesCachesFleetWide in internal/netpeer is the TCP arm.)
 func TestCacheMutateThenQueryInProcess(t *testing.T) {
 	n := storageNet(7)
 	init := n.Peers()[3]
@@ -144,25 +129,20 @@ func TestCacheMutateThenQueryInProcess(t *testing.T) {
 		t.Fatal("engine: inserted tuple (distance 0) missing from refreshed answers")
 	}
 
-	// Actor cluster over the mutated overlay: same fill/invalidate cycle
-	// through the delete path.
-	ac := cache.New(cache.Options{MaxBytes: 1 << 20})
-	cl := async.NewClusterOpts(n, proc, async.ClusterOptions{Cache: ac, CacheKey: key})
-	defer cl.Close()
-	cl.Run(init.ID(), 0)
-	if !cl.Run(init.ID(), 0).CacheHit {
-		t.Fatal("actor: repeated query not cached")
+	// Same fill/invalidate cycle through the delete path.
+	if !core.RunOpts(init, proc, 0, opts).CacheHit {
+		t.Fatal("engine: refilled query not cached")
 	}
 	if !n.Delete(tup) {
 		t.Fatal("overlay delete failed")
 	}
-	ac.InvalidatePoint(tup.Vec)
-	ares := cl.Run(init.ID(), 0)
-	if ares.CacheHit {
-		t.Fatal("actor: query served from cache across a mutation")
+	c.InvalidatePoint(tup.Vec)
+	res = core.RunOpts(init, proc, 0, opts)
+	if res.CacheHit {
+		t.Fatal("engine: query served from cache across a delete")
 	}
-	if hasAnswerID(ares.Answers, tup.ID) {
-		t.Fatal("actor: deleted tuple still answered")
+	if hasAnswerID(res.Answers, tup.ID) {
+		t.Fatal("engine: deleted tuple still answered")
 	}
 }
 

@@ -39,7 +39,7 @@ func main() {
 	def := netpeer.DefaultOptions()
 	config := flag.String("config", "", "peer config written by ripple-plan (server mode)")
 	call := flag.String("call", "", "peer address to query (client mode)")
-	queryKind := flag.String("query", "topk", "client query type: topk | skyline | knn")
+	queryKind := flag.String("query", "topk", "client request: topk | skyline | knn | insert | delete")
 	k := flag.Int("k", 10, "result size for topk and knn")
 	at := flag.String("at", "", "knn query point as comma-separated coordinates (default: domain center)")
 	metricName := flag.String("metric", "L2", "knn distance metric: L1 | L2")
@@ -158,7 +158,7 @@ func serve(path string, opts netpeer.Options, metricsAddr string, planAuto bool)
 
 func client(addr, queryKind string, k, dims, r int, timeout time.Duration, at, metricName string, tupleID uint64) {
 	if dims <= 0 {
-		dims = probeDims(addr)
+		dims = probeDims(addr, timeout)
 	}
 	switch queryKind {
 	case "insert", "delete":
@@ -270,15 +270,16 @@ func report(res *netpeer.QueryResult) {
 	}
 }
 
-// probeDims discovers the data dimensionality by asking for one answer.
-func probeDims(addr string) int {
+// probeDims discovers the data dimensionality by asking for one answer, each
+// probe bounded by the client's call timeout.
+func probeDims(addr string, timeout time.Duration) int {
 	for d := 1; d <= 16; d++ {
 		params, err := (topk.WireCodec{}).EncodeParams(topk.UniformLinear(d), 1)
 		if err != nil {
 			continue
 		}
-		answers, _, err := netpeer.Query(addr, "topk", params, d, 0)
-		if err == nil && len(answers) > 0 && len(answers[0].Vec) == d {
+		res, err := netpeer.QueryDetailed(addr, "topk", params, d, 0, timeout)
+		if err == nil && len(res.Answers) > 0 && len(res.Answers[0].Vec) == d {
 			return d
 		}
 	}

@@ -2,9 +2,9 @@
 // and renders its hop tree: every link traversal as a span, annotated with
 // the restriction region, mode phase, hop clock and fault outcome, with
 // per-subtree rollups at the branch points. The same query can be executed
-// on any of the three runtimes — the structural engine, the actor cluster,
-// or a real TCP deployment on loopback — which produce structurally
-// identical trees, so the flag doubles as a live cross-runtime check.
+// on either runtime — the structural engine or a real TCP deployment on
+// loopback — which produce structurally identical trees, so the flag doubles
+// as a live cross-runtime check.
 //
 //	ripple-trace -peers 32 -r 2                        # engine runtime
 //	ripple-trace -peers 32 -r 2 -runtime tcp           # same tree over TCP
@@ -18,7 +18,6 @@ import (
 	"strconv"
 	"time"
 
-	"ripple/internal/async"
 	"ripple/internal/core"
 	"ripple/internal/dataset"
 	"ripple/internal/faults"
@@ -37,13 +36,16 @@ func main() {
 	queryKind := flag.String("query", "topk", "query type: topk | skyline")
 	k := flag.Int("k", 10, "result size for topk")
 	rFlag := flag.String("r", "fast", "ripple parameter: fast | slow | integer")
-	runtime := flag.String("runtime", "engine", "execution runtime: engine | actor | tcp")
+	runtime := flag.String("runtime", "engine", "execution runtime: engine | tcp")
 	initiator := flag.Int("initiator", 0, "index of the initiating peer")
 	faultDrop := flag.Float64("fault-drop", 0, "injected per-link drop probability")
 	faultCrash := flag.Float64("fault-crash", 0, "injected per-link crash probability")
 	faultSeed := flag.Int64("fault-seed", 1, "fault-injection seed")
 	flag.Parse()
 
+	if *initiator < 0 {
+		fatal(fmt.Errorf("-initiator must be non-negative, got %d", *initiator))
+	}
 	r := parseR(*rFlag)
 	net := midas.Build(*peers, midas.Options{Dims: *dims, Seed: *seed})
 	overlay.Load(net, dataset.Uniform(*size, *dims, *seed))
@@ -68,14 +70,10 @@ func main() {
 	switch *runtime {
 	case "engine":
 		res = core.RunOpts(init, proc, r, core.Options{Faults: inj, Trace: true})
-	case "actor":
-		c := async.NewClusterInjected(net, proc, inj)
-		res = c.RunTraced(init.ID(), r)
-		c.Close()
 	case "tcp":
 		res = runTCP(net, init.ID(), *queryKind, proc, *dims, *k, r, inj)
 	default:
-		fatal(fmt.Errorf("unknown runtime %q (engine | actor | tcp)", *runtime))
+		fatal(fmt.Errorf("unknown runtime %q (engine | tcp)", *runtime))
 	}
 
 	if res.Trace == nil || res.Trace.Root == nil {

@@ -190,8 +190,7 @@ type Processor struct {
 	ctxOnce sync.Once
 }
 
-// prepare caches the O-dependent φ constants once; safe under concurrent use
-// (a Processor is shared by every actor of an async Cluster).
+// prepare caches the O-dependent φ constants once; safe under concurrent use.
 func (p *Processor) prepare() {
 	p.ctxOnce.Do(func() { p.ctx = p.Query.context(p.Base) })
 }

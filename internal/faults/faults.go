@@ -5,9 +5,9 @@
 // (seed, from, to, attempt) — a hash, not a shared RNG stream — so the same
 // configuration produces the same fault pattern regardless of goroutine
 // scheduling or the order in which links are tried. That property is what
-// lets the structural engine (internal/core), the actor runtime
-// (internal/async) and the TCP peers (internal/netpeer) be tested against
-// each other under identical injected failures.
+// lets the structural engine (internal/core) and the TCP peers
+// (internal/netpeer) be tested against each other under identical injected
+// failures.
 package faults
 
 import (
@@ -58,7 +58,7 @@ type Config struct {
 	CrashRate float64
 	DelayRate float64
 	// DelayHops is the extra logical latency charged on a delayed link by the
-	// hop-clock runtimes (engine and actor cluster).
+	// hop-clock structural engine.
 	DelayHops int
 	// Delay is the wall-clock stall applied to a delayed link by the TCP
 	// transport.

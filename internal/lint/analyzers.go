@@ -27,7 +27,7 @@ func Analyzers() []*Analyzer {
 // which only fires on core.Processor implementations.
 //
 // The scopes mirror the invariants' blast radius: determinism covers every
-// package the three replay-validated runtimes share; lockcheck the packages
+// package the two replay-validated runtimes share; lockcheck the packages
 // with real concurrency; ctxdeadline the TCP transport; errlost the fan-out
 // engines plus the metrics endpoint they are observed through.
 var DefaultScope = map[string][]string{
@@ -37,11 +37,9 @@ var DefaultScope = map[string][]string{
 		"internal/baton",
 	},
 	"statealias":  {},
-	"lockcheck":   {"internal/metrics", "internal/async", "internal/netpeer"},
+	"lockcheck":   {"internal/metrics", "internal/netpeer"},
 	"ctxdeadline": {"internal/netpeer"},
-	"errlost": {
-		"internal/core", "internal/async", "internal/netpeer", "internal/metrics",
-	},
+	"errlost":     {"internal/core", "internal/netpeer", "internal/metrics"},
 	// The flow-sensitive analyzers self-limit: poolcheck only fires where a
 	// pool-like type is used, storeinval where a storage.Provider is defined,
 	// goroleak where a shutdown-owning component lives, lockorder on the

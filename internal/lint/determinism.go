@@ -7,8 +7,8 @@ import (
 )
 
 // DeterminismAnalyzer enforces the replay-determinism contract of the
-// simulation kernel (DESIGN.md §10.1): the engine, actor, and TCP runtimes
-// are validated against each other by replaying the same overlay, query, and
+// simulation kernel (DESIGN.md §10.1): the engine and TCP runtimes are
+// validated against each other by replaying the same overlay, query, and
 // fault seed, so the packages they share must be pure functions of their
 // inputs. Three sources of hidden nondeterminism are banned:
 //

@@ -1,6 +1,6 @@
 // Package lint is ripple-vet: a suite of static analyzers that enforce the
 // invariants this repository's correctness arguments lean on but no compiler
-// checks — replay determinism of the three runtimes, the Processor aliasing
+// checks — replay determinism of the two runtimes, the Processor aliasing
 // contract, lock/atomic discipline, transport deadline coverage, and
 // exactly-once failure accounting.
 //

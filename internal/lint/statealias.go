@@ -9,9 +9,8 @@ import (
 // §10.2). The engine owns the arguments it passes to the six template
 // callbacks of core.Processor: the `[]core.State` batch handed to MergeStates
 // and the overlay.Node view of the executing peer are reused by the engine
-// after the callback returns (and, on the actor runtime, may be observed from
-// another goroutine). A Processor implementation must therefore treat them as
-// borrowed for the duration of the call:
+// after the callback returns. A Processor implementation must therefore treat
+// them as borrowed for the duration of the call:
 //
 //   - storing the slice (or a reslice of it — same backing array) or the
 //     Node into a field or package variable is a retention bug;

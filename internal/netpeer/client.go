@@ -15,7 +15,7 @@ import (
 // buildCall assembles the initiator's root call. A non-empty scope restricts
 // the query to that sub-region: it prunes the traversal (the root restriction
 // starts at the scope instead of the whole domain, mirroring what the
-// in-process engines do) and rides every sub-call so peers filter their local
+// structural engine does) and rides every sub-call so peers filter their local
 // answers to it.
 func buildCall(queryType string, params []byte, dims, r int, traced bool, scope overlay.Region) *wire.Call {
 	call := &wire.Call{

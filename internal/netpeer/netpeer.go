@@ -11,7 +11,7 @@
 // chain; contents and cost accounting are identical, and hop clocks carried
 // on the messages reproduce the engine's latency model.
 //
-// Unlike the in-process engines, real links fail. Every outgoing RPC runs
+// Unlike the structural engine, real links fail. Every outgoing RPC runs
 // under dial/read/write deadlines and a bounded retry policy (exponential
 // backoff with jitter); a link that stays unrecoverable does not fail the
 // query — the caller records the lost restriction region and marks the reply
@@ -578,7 +578,7 @@ func (s *Server) planQuery(call *wire.Call) plan.Query {
 
 // finishPlan closes the planner loop on a completed root query: it feeds the
 // observed cost back to the model and stamps the decision onto the reply (and
-// onto the root span of a traced run, mirroring the in-process engines).
+// onto the root span of a traced run, mirroring the structural engine).
 // Failed queries teach the model nothing — their counters describe an
 // interrupted propagation, not the mode's cost.
 func (s *Server) finishPlan(pq plan.Query, planned *plan.Decision, call *wire.Call, reply *wire.Reply, err error) (*wire.Reply, error) {
@@ -822,7 +822,7 @@ func findShare(shares []ReplicaShare, id string) *ReplicaShare {
 // out. It returns the recovered child reply, or nil when every replica failed
 // too — only then does the region belong in FailedRegions. Span IDs for
 // failover dispatches derive from the failed primary span, not the parent's
-// traversal counter, so the three runtimes name recovered subtrees
+// traversal counter, so both runtimes name recovered subtrees
 // identically regardless of dispatch order.
 func (s *Server) failover(l LinkSpec, childCall *wire.Call, reply *wire.Reply, tr *tracer, primarySpan uint64, childR, arrive int) *wire.Reply {
 	if len(l.Replicas) == 0 {
@@ -1112,7 +1112,7 @@ func QueryScoped(addr, queryType string, params []byte, dims, r int, scope overl
 // QueryTraced is QueryDetailed with hop-tree tracing: every peer records its
 // span and convergecasts it back, and the result's Trace holds the query's
 // reconstructed propagation tree — structurally identical to the one the
-// in-process engines produce for the same overlay and r, with lost subtrees
+// structural engine produces for the same overlay and r, with lost subtrees
 // marked.
 func QueryTraced(addr, queryType string, params []byte, dims, r int, timeout time.Duration) (*QueryResult, error) {
 	return queryCall(addr, queryType, params, dims, r, timeout, true, overlay.Region{})

@@ -3,18 +3,21 @@ package netpeer
 import (
 	"bytes"
 	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"math"
-
+	"ripple/internal/can"
+	"ripple/internal/core"
 	"ripple/internal/dataset"
 	"ripple/internal/diversify"
 	"ripple/internal/midas"
 	"ripple/internal/overlay"
 	"ripple/internal/skyline"
 	"ripple/internal/topk"
+	"ripple/internal/wire"
 )
 
 // quietOpts routes fault diagnostics to the test log and keeps retry waits
@@ -33,7 +36,14 @@ func deployMIDAS(t *testing.T, size int, ts []dataset.Tuple, dims int) ([]*Serve
 	t.Helper()
 	net := midas.Build(size, midas.Options{Dims: dims, Seed: 7})
 	overlay.Load(net, ts)
-	servers, addrs, err := DeployOpts(net, quietOpts(t), topk.WireCodec{}, skyline.WireCodec{})
+	return deployNet(t, net, topk.WireCodec{}, skyline.WireCodec{})
+}
+
+// deployNet starts a loopback deployment of net under quietOpts, closed when
+// the test ends.
+func deployNet(t *testing.T, net overlay.Network, codecs ...wire.Codec) ([]*Server, map[string]string) {
+	t.Helper()
+	servers, addrs, err := DeployOpts(net, quietOpts(t), codecs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,19 +105,9 @@ func TestTCPCostsMatchEngine(t *testing.T) {
 	ts := dataset.NBA(2000, 5)
 	net := midas.Build(20, midas.Options{Dims: 6, Seed: 11})
 	overlay.Load(net, ts)
-	servers, addrs, err := Deploy(net, topk.WireCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
+	addrs, params := deployTopK(t, net, 5)
 
 	f := topk.UniformLinear(6)
-	params, _ := topk.WireCodec{}.EncodeParams(f, 5)
-	proc := &topk.Processor{F: f, K: 5}
 	for _, r := range []int{0, 1, 1 << 20} {
 		w := net.Peers()[4]
 		_, engineStats := topk.Run(w, f, 5, r)
@@ -118,8 +118,9 @@ func TestTCPCostsMatchEngine(t *testing.T) {
 		if engineStats.Latency != tcpStats.Latency {
 			t.Fatalf("r=%d: latency engine %d vs tcp %d", r, engineStats.Latency, tcpStats.Latency)
 		}
-		if engineStats.QueryMsgs != tcpStats.QueryMsgs {
-			t.Fatalf("r=%d: msgs engine %d vs tcp %d", r, engineStats.QueryMsgs, tcpStats.QueryMsgs)
+		if engineStats.QueryMsgs != tcpStats.QueryMsgs || engineStats.StateMsgs != tcpStats.StateMsgs {
+			t.Fatalf("r=%d: query/state msgs engine %d/%d vs tcp %d/%d", r,
+				engineStats.QueryMsgs, engineStats.StateMsgs, tcpStats.QueryMsgs, tcpStats.StateMsgs)
 		}
 		// A healthy deployment must look exactly like the seed behaviour:
 		// nothing partial, nothing failed, nothing retried.
@@ -127,7 +128,83 @@ func TestTCPCostsMatchEngine(t *testing.T) {
 			t.Fatalf("r=%d: fault accounting non-zero on a healthy deployment: %+v", r, tcpStats)
 		}
 	}
-	_ = proc
+}
+
+// deployTopK starts a loopback top-k deployment of net and returns the
+// encoded parameters of a uniform-weight top-k query of size k.
+func deployTopK(t *testing.T, net overlay.Network, k int) (map[string]string, []byte) {
+	t.Helper()
+	_, addrs := deployNet(t, net, topk.WireCodec{})
+	params, err := topk.WireCodec{}.EncodeParams(topk.UniformLinear(net.Dims()), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return addrs, params
+}
+
+// TestLemmaLatenciesOverTCP: on a perfect MIDAS tree with a top-k whose K
+// exceeds the tuple count, nothing prunes, so the hop clock the concurrent
+// TCP runtime reconstructs must equal the Lemma 1-3 worst case exactly.
+func TestLemmaLatenciesOverTCP(t *testing.T) {
+	const depth = 6
+	net := midas.BuildPerfect(depth, midas.Options{Dims: 2, Seed: 1})
+	overlay.Load(net, dataset.Uniform(50, 2, 1))
+	addrs, params := deployTopK(t, net, 51)
+	for r := 0; r <= depth; r++ {
+		_, stats, err := Query(addrs[net.Peers()[0].ID()], "topk", params, 2, r)
+		if err != nil {
+			t.Fatalf("r=%d: %v", r, err)
+		}
+		if want := core.RippleWorstLatency(depth, 0, r); stats.Latency != want {
+			t.Fatalf("r=%d: tcp latency %d, lemma predicts %d", r, stats.Latency, want)
+		}
+	}
+}
+
+// TestBroadcastExactlyOnceOverTCP: a fast-mode query that never prunes
+// reaches every peer exactly once and collects every tuple.
+func TestBroadcastExactlyOnceOverTCP(t *testing.T) {
+	net := midas.Build(128, midas.Options{Dims: 3, Seed: 11})
+	overlay.Load(net, dataset.Uniform(400, 3, 2))
+	addrs, params := deployTopK(t, net, 401)
+	answers, stats, err := Query(addrs[net.Peers()[0].ID()], "topk", params, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.QueryMsgs != 128 || stats.MaxPerPeer() != 1 {
+		t.Fatalf("tcp broadcast: msgs=%d maxPerPeer=%d", stats.QueryMsgs, stats.MaxPerPeer())
+	}
+	if len(answers) != 400 {
+		t.Fatalf("collected %d tuples, want 400", len(answers))
+	}
+}
+
+// TestCANFragmentsOverTCP: over CAN a peer can receive several restriction
+// fragments of one query; the ranks must still equal the brute-force top-k.
+// K is large enough that the traversal reaches peers over partial links.
+func TestCANFragmentsOverTCP(t *testing.T) {
+	const k = 50
+	ts := dataset.NBA(2000, 4)
+	net := can.Build(48, can.Options{Dims: 6, Seed: 5})
+	overlay.Load(net, ts)
+	addrs, params := deployTopK(t, net, k)
+	f := topk.UniformLinear(6)
+	want := topk.Brute(ts, f, k)
+	for _, r := range []int{0, 2, 1 << 20} {
+		answers, stats, err := Query(addrs[net.Peers()[0].ID()], "topk", params, 6, r)
+		if err != nil {
+			t.Fatalf("r=%d: %v", r, err)
+		}
+		if stats.MaxPerPeer() < 2 {
+			t.Fatalf("r=%d: no peer received a second fragment; the test is vacuous", r)
+		}
+		got := topk.Select(answers, f, k)
+		for i := range want {
+			if got[i].ID != want[i].ID {
+				t.Fatalf("r=%d: CAN tcp rank %d = %v, want %v", r, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 func TestUnknownQueryTypeReportsRemoteError(t *testing.T) {
@@ -153,15 +230,7 @@ func TestDiversifySingleOverTCP(t *testing.T) {
 	ts := dataset.MIRFlickr(1200, 9)
 	net := midas.Build(16, midas.Options{Dims: 5, Seed: 19})
 	overlay.Load(net, ts)
-	servers, _, err := Deploy(net, diversify.WireCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
+	servers, _ := deployNet(t, net, diversify.WireCodec{})
 
 	q := diversify.NewQuery(ts[4].Vec, 0.5)
 	base := dataset.Sample(ts, 3, 2)
@@ -231,6 +300,31 @@ func TestFileConfigRoundTrip(t *testing.T) {
 	if _, err := ReadConfig(bytes.NewReader([]byte("{}"))); err == nil {
 		t.Fatal("incomplete config must be rejected")
 	}
+}
+
+// FuzzReadConfig: no input may panic ReadConfig, and a config it accepts
+// comes back unchanged through WriteConfig and ReadConfig. The committed
+// seeds under testdata/fuzz are ripple-plan output for a small overlay, with
+// and without zone replication.
+func FuzzReadConfig(f *testing.F) {
+	f.Add([]byte("{}"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fc, err := ReadConfig(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteConfig(&buf, fc); err != nil {
+			t.Fatalf("accepted config does not re-encode: %v", err)
+		}
+		again, err := ReadConfig(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded config rejected: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(again, fc) {
+			t.Fatalf("config changed across a write/read round trip:\n got %+v\nwant %+v", again, fc)
+		}
+	})
 }
 
 func TestServerSurvivesMalformedCall(t *testing.T) {

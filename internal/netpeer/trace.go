@@ -10,7 +10,7 @@ import (
 
 // tracer accumulates the spans one traced wire.Call produces at this peer:
 // span IDs for the traversals it initiates (derived with the same
-// deterministic hash the in-process engines use, so all three runtimes name
+// deterministic hash the structural engine uses, so both runtimes name
 // identical trees), loss records for unrecoverable links, and the spans its
 // reachable children convergecast back. A nil *tracer is the untraced path
 // and no-ops everywhere.
@@ -58,7 +58,7 @@ func (t *tracer) lost(id uint64, peer string, sub overlay.Region, childR, arrive
 
 // lostVia records a failed recovery dispatch: replica `via` was asked to act
 // for dead peer `peer` and did not answer either. The span ID is derived from
-// the failed primary span by the caller, mirroring the in-process engines.
+// the failed primary span by the caller, mirroring the structural engine.
 func (t *tracer) lostVia(id uint64, peer, via string, sub overlay.Region, childR, arrive, attempt int, err error) {
 	if t == nil {
 		return

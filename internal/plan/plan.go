@@ -20,8 +20,8 @@
 // invariants.
 //
 // The planner is shared mutable state on the initiator: one instance serves
-// every query of a runtime (core.Options.Planner, async.ClusterOptions,
-// netpeer.Options) and all access is serialised by an internal mutex.
+// every query of a runtime (core.Options.Planner, netpeer.Options) and all
+// access is serialised by an internal mutex.
 package plan
 
 import (
@@ -91,8 +91,8 @@ type Query struct {
 	K int
 	// Dims is the dimensionality of the indexed domain.
 	Dims int
-	// OverlaySize is the number of peers when known (the actor cluster and
-	// the harness know it; a TCP peer does not and leaves it 0).
+	// OverlaySize is the number of peers when known (the harness knows it; a
+	// TCP peer does not and leaves it 0).
 	OverlaySize int
 	// Degree is the initiator's link count. Over MIDAS the link count tracks
 	// the virtual k-d tree depth, so it substitutes for log2(OverlaySize)

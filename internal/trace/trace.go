@@ -8,12 +8,11 @@
 // including the subtrees lost to failures.
 //
 // Span identities are hierarchical hashes: a child's ID is a pure function of
-// (parent ID, target peer, traversal sequence number). Because every runtime
-// — the structural engine (internal/core), the actor cluster (internal/async)
-// and the TCP peers (internal/netpeer) — attempts traversals in the same
-// deterministic order, the same query yields byte-identical span identities
-// in all three, which is what lets cross-runtime equivalence tests compare
-// hop trees structurally.
+// (parent ID, target peer, traversal sequence number). Because both runtimes
+// — the structural engine (internal/core) and the TCP peers
+// (internal/netpeer) — attempt traversals in the same deterministic order,
+// the same query yields byte-identical span identities in both, which is what
+// lets cross-runtime equivalence tests compare hop trees structurally.
 //
 // Tracing is opt-in per query and free when off: a nil *Recorder is a valid
 // no-op recorder, every method is nil-safe, and the disabled path performs no
@@ -22,7 +21,6 @@ package trace
 
 import (
 	"hash/fnv"
-	"sync"
 
 	"ripple/internal/overlay"
 )
@@ -82,9 +80,8 @@ type Span struct {
 	R int
 	// Depth is the number of links between the initiator and this peer.
 	Depth int
-	// Arrive is the logical hop clock when the delivery arrived (the engine
-	// and actor runtimes agree on it exactly; TCP clocks omit injected-delay
-	// hop charges, which exist only in the logical runtimes).
+	// Arrive is the logical hop clock when the delivery arrived (TCP clocks
+	// omit the injected-delay hop charges the structural engine adds).
 	Arrive int
 	// Attempt counts extra delivery attempts (retries) spent on the link
 	// before this outcome; 0 means the first try decided it.
@@ -139,12 +136,12 @@ func mix64(z uint64) uint64 {
 	return z
 }
 
-// Recorder collects the spans of one query. It is safe for concurrent use
-// (the actor runtime records from many goroutines) and nil-safe: a nil
-// *Recorder drops everything without allocating, so runtimes thread it
-// through unconditionally and tracing costs nothing when disabled.
+// Recorder collects the spans of one query. It is not safe for concurrent
+// use (the structural engine records from one goroutine; TCP peers build
+// their spans on the wire instead) and it is nil-safe: a nil *Recorder drops
+// everything without allocating, so the engine threads it through
+// unconditionally and tracing costs nothing when disabled.
 type Recorder struct {
-	mu    sync.Mutex
 	spans []Span
 	idx   map[uint64]int
 }
@@ -162,12 +159,10 @@ func (r *Recorder) Record(s Span) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	if _, dup := r.idx[s.ID]; !dup {
 		r.idx[s.ID] = len(r.spans)
 		r.spans = append(r.spans, s)
 	}
-	r.mu.Unlock()
 }
 
 // SetCounts sets the state/answer tuple counts of the span with the given ID
@@ -176,12 +171,10 @@ func (r *Recorder) SetCounts(id uint64, stateTuples, answerTuples int) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	if i, ok := r.idx[id]; ok {
 		r.spans[i].StateTuples = stateTuples
 		r.spans[i].AnswerTuples = answerTuples
 	}
-	r.mu.Unlock()
 }
 
 // AddAnswer adds answer tuples to a span (answers are emitted once per peer,
@@ -190,11 +183,9 @@ func (r *Recorder) AddAnswer(id uint64, tuples int) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	if i, ok := r.idx[id]; ok {
 		r.spans[i].AnswerTuples += tuples
 	}
-	r.mu.Unlock()
 }
 
 // SetStateTuples sets only the state-tuple count of a span.
@@ -202,11 +193,9 @@ func (r *Recorder) SetStateTuples(id uint64, tuples int) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	if i, ok := r.idx[id]; ok {
 		r.spans[i].StateTuples = tuples
 	}
-	r.mu.Unlock()
 }
 
 // Spans returns a copy of the recorded spans in record order.
@@ -214,8 +203,6 @@ func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Span, len(r.spans))
 	copy(out, r.spans)
 	return out

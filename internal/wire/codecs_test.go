@@ -152,6 +152,14 @@ func TestGoldenBytes(t *testing.T) {
 			switch {
 			case name == "call.frame":
 				writeSeed(t, "FuzzDecodeCall", "golden", got[name][4:])
+				// A mux frame is the legacy frame behind a stream ID.
+				var mux bytes.Buffer
+				if err := wire.WriteMuxHello(&mux, wire.MuxVersion); err != nil {
+					t.Fatal(err)
+				}
+				mux.Write([]byte{0, 0, 0, 7})
+				mux.Write(got[name])
+				writeSeed(t, "FuzzMuxStream", "golden", mux.Bytes())
 			case name == "reply.muxframe":
 				writeSeed(t, "FuzzDecodeReply", "golden", got[name][8:])
 			default:

@@ -170,3 +170,44 @@ func TestOverloadedClassification(t *testing.T) {
 		t.Fatal("processing error misclassified as overload")
 	}
 }
+
+// FuzzMuxStream feeds a byte stream through the client side of a mux
+// connection: a hello, then call frames until the first error. Nothing may
+// panic, the hello must be the one encoding of its version, and every frame
+// ReadMuxFrame accepts must re-encode through WriteMuxFrame to exactly the
+// bytes it consumed. The committed seed under testdata/fuzz is the golden
+// call frame behind a hello.
+func FuzzMuxStream(f *testing.F) {
+	var seed bytes.Buffer
+	if WriteMuxHello(&seed, MuxVersion) != nil || WriteMuxFrame(&seed, 3, sampleCall()) != nil ||
+		WriteMuxFrame(&seed, 9, &Call{QueryType: "skyline", Restrict: overlay.Whole(2)}) != nil {
+		f.Fatal("seed encoding failed")
+	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r := bytes.NewReader(b)
+		ver, err := ReadMuxHello(r)
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if WriteMuxHello(&again, ver) != nil || !bytes.Equal(again.Bytes(), b[:8]) {
+			t.Fatalf("accepted hello %x but re-encodes as %x", b[:8], again.Bytes())
+		}
+		for {
+			start := len(b) - r.Len()
+			var c Call
+			stream, err := ReadMuxFrame(r, &c)
+			if err != nil {
+				return
+			}
+			again.Reset()
+			if err := WriteMuxFrame(&again, stream, &c); err != nil {
+				t.Fatalf("accepted frame does not re-encode: %v", err)
+			}
+			if consumed := b[start : len(b)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+				t.Fatalf("accepted frame %x but re-encodes as %x", consumed, again.Bytes())
+			}
+		}
+	})
+}

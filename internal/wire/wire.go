@@ -77,7 +77,7 @@ type Call struct {
 
 	// Trace context. When Traced is set, the receiving peer records a span
 	// for itself — identified by SpanID, which the caller derived (the caller
-	// owns the traversal, exactly like the in-process engines) — and returns
+	// owns the traversal, exactly like the structural engine) — and returns
 	// its subtree's spans on the Reply, convergecasting the hop tree back to
 	// the initiator. SpanParent and SpanDepth place the span in the tree.
 	Traced     bool

@@ -1,6 +1,6 @@
 // Planner equivalence: an adaptively planned query must be observationally
-// identical to the static-r run it selected. For every query family and every
-// runtime (structural engine, actor cluster, TCP deployment), running with
+// identical to the static-r run it selected. For every query family and both
+// runtimes (structural engine, TCP deployment), running with
 // r = RAuto through a planner and re-running with the decision's concrete r
 // must return byte-identical answers, identical cost accounting, and
 // identical canonical hop trees — the planner may only choose *which* static
@@ -12,7 +12,6 @@ import (
 	"reflect"
 	"testing"
 
-	"ripple/internal/async"
 	"ripple/internal/core"
 	"ripple/internal/netpeer"
 	"ripple/internal/plan"
@@ -58,35 +57,6 @@ func TestPlannerEquivalenceEngine(t *testing.T) {
 		// the canonical comparison above is not vacuous.
 		if planned.Trace == nil || planned.Trace.Root == nil || planned.Trace.Root.Plan == "" {
 			t.Fatalf("%s: planned root span missing the decision annotation", tc.name)
-		}
-	}
-}
-
-func TestPlannerEquivalenceActors(t *testing.T) {
-	n := storageNet(3)
-	init := n.Peers()[5]
-	for _, tc := range storageCases(t) {
-		p := testPlanner()
-		pc := async.NewClusterOpts(n, tc.proc, async.ClusterOptions{Planner: p})
-		planned := pc.RunTraced(init.ID(), plan.RAuto)
-		pc.Close()
-		if planned.Plan == nil {
-			t.Fatalf("%s: planned run carries no decision", tc.name)
-		}
-		r := planned.Plan.R
-		sc := async.NewClusterOpts(n, tc.proc, async.ClusterOptions{})
-		static := sc.RunTraced(init.ID(), r)
-		sc.Close()
-		if !reflect.DeepEqual(sortedAnswerIDs(planned.Answers), sortedAnswerIDs(static.Answers)) {
-			t.Fatalf("%s: planned actor answers differ from static r=%d", tc.name, r)
-		}
-		if planned.Stats.String() != static.Stats.String() {
-			t.Fatalf("%s: planned actor cost differs from static r=%d:\nplanned: %s\nstatic:  %s",
-				tc.name, r, planned.Stats.String(), static.Stats.String())
-		}
-		if got, want := planned.Trace.Canonical(), static.Trace.Canonical(); got != want {
-			t.Fatalf("%s: planned actor hop tree differs from static r=%d:\nplanned: %s\nstatic:  %s",
-				tc.name, r, got, want)
 		}
 	}
 }
@@ -141,8 +111,8 @@ func TestPlannerEquivalenceTCP(t *testing.T) {
 }
 
 // TestPlannerUnplannedAutoDegradesToFast pins the fallback: r = RAuto against
-// a runtime with no planner configured must behave exactly like r = 0, in all
-// three runtimes, rather than panic or leak the sentinel into hop counts.
+// a runtime with no planner configured must behave exactly like r = 0, in both
+// runtimes, rather than panic or leak the sentinel into hop counts.
 func TestPlannerUnplannedAutoDegradesToFast(t *testing.T) {
 	n := storageNet(3)
 	init := n.Peers()[5]
@@ -156,13 +126,6 @@ func TestPlannerUnplannedAutoDegradesToFast(t *testing.T) {
 	}
 	if eng.Plan != nil {
 		t.Fatal("engine: unplanned run must not carry a decision")
-	}
-
-	c := async.NewCluster(n, tc.proc)
-	act := c.RunTraced(init.ID(), plan.RAuto)
-	c.Close()
-	if !reflect.DeepEqual(sortedAnswerIDs(act.Answers), sortedAnswerIDs(want.Answers)) || act.Trace.Canonical() != want.Trace.Canonical() {
-		t.Fatal("actors: unplanned r=auto differs from r=0")
 	}
 
 	tcp := tcpStorage(t, n, init.ID(), tc.name, tc.params, plan.RAuto, storage.KindRTree, 1, nil)

@@ -1,7 +1,7 @@
 // Cross-runtime replication equivalence. Zone replication must be invisible
 // when nothing fails: a replicated run returns byte-identical answers, costs
 // and hop trees to an unreplicated one on every runtime. And when links do
-// fail, all three runtimes must recover the same subtrees the same way —
+// fail, both runtimes must recover the same subtrees the same way —
 // identical recovered spans, identical residual failed regions — because
 // replica placement, failover order and span naming are all deterministic.
 package ripple_test
@@ -10,47 +10,27 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
-	"ripple/internal/async"
 	"ripple/internal/core"
 	"ripple/internal/dataset"
 	"ripple/internal/faults"
 	"ripple/internal/midas"
 	"ripple/internal/netpeer"
 	"ripple/internal/overlay"
+	"ripple/internal/storage"
 	"ripple/internal/topk"
 	"ripple/internal/trace"
 )
 
-// tcpReplicated runs the traced query over a loopback deployment with the
-// given zone replication factor. Under faults the per-link retry loop is
-// disabled so the TCP runtime loses (and recovers) exactly the traversals the
-// in-process engines do.
+// tcpReplicated runs the fixture's traced top-k query over a loopback
+// deployment with the given zone replication factor (see tcpStorage).
 func tcpReplicated(t *testing.T, n *midas.Network, initID string, k, r, factor int, inj *faults.Injector) *netpeer.QueryResult {
 	t.Helper()
-	opts := netpeer.Options{Faults: inj, Logf: func(string, ...interface{}) {}, Replication: factor}
-	if inj.Enabled() {
-		opts.Retry = netpeer.RetryPolicy{MaxRetries: 0, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond}
-	}
-	servers, addrs, err := netpeer.DeployOpts(n, opts, topk.WireCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
 	params, err := (topk.WireCodec{}).EncodeParams(topk.UniformLinear(3), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := netpeer.QueryTraced(addrs[initID], "topk", params, 3, r, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return tcpStorage(t, n, initID, "topk", params, r, storage.KindAuto, factor, inj)
 }
 
 // regionStrings renders a failed-region list for comparison across runtimes
@@ -63,9 +43,9 @@ func regionStrings(rs []overlay.Region) []string {
 	return out
 }
 
-// sortedAnswerIDs projects an answer set onto its sorted tuple IDs: the actor
-// runtime emits answers in scheduling order, so sets — not sequences — are
-// what must agree.
+// sortedAnswerIDs projects an answer set onto its sorted tuple IDs: the TCP
+// runtime emits answers in convergecast order, so sets — not sequences — are
+// what must agree with the engine.
 func sortedAnswerIDs(ts []dataset.Tuple) []uint64 {
 	ids := make([]uint64, len(ts))
 	for i, t := range ts {
@@ -87,19 +67,16 @@ func countOutcome(tr *trace.Tree, outcome string) int {
 
 // TestReplicationZeroFaultIdentity: with no faults injected, replication must
 // change nothing — same answers, same costs, same canonical hop tree as the
-// unreplicated run, on each of the three runtimes, for R = 2 and 3.
+// unreplicated run, on both runtimes, for R = 2 and 3.
 func TestReplicationZeroFaultIdentity(t *testing.T) {
 	n, proc, _ := traceOverlay()
 	init := n.Peers()[7]
-	baseCluster := async.NewCluster(n, proc)
-	defer baseCluster.Close()
 
 	for _, factor := range []int{2, 3} {
 		rm := overlay.BuildReplicas(n, factor)
 		if err := overlay.CheckReplication(n, rm); err != nil {
 			t.Fatalf("factor %d: %v", factor, err)
 		}
-		repCluster := async.NewClusterOpts(n, proc, async.ClusterOptions{Replicas: rm})
 
 		for _, r := range []int{0, 2, 1 << 20} {
 			engBase := core.RunOpts(init, proc, r, core.Options{Trace: true})
@@ -116,15 +93,6 @@ func TestReplicationZeroFaultIdentity(t *testing.T) {
 				t.Fatalf("factor %d r=%d: engine hop tree changed under replication", factor, r)
 			}
 
-			actBase := baseCluster.RunTraced(init.ID(), r)
-			actRep := repCluster.RunTraced(init.ID(), r)
-			if !reflect.DeepEqual(sortedAnswerIDs(actRep.Answers), sortedAnswerIDs(actBase.Answers)) {
-				t.Fatalf("factor %d r=%d: actor answers changed under replication", factor, r)
-			}
-			if got := actRep.Trace.Canonical(); got != want {
-				t.Fatalf("factor %d r=%d: actor hop tree changed under replication", factor, r)
-			}
-
 			tcpBase := tcpReplicated(t, n, init.ID(), proc.K, r, 1, nil)
 			tcpRep := tcpReplicated(t, n, init.ID(), proc.K, r, factor, nil)
 			if !reflect.DeepEqual(tcpRep.Answers, tcpBase.Answers) {
@@ -137,12 +105,11 @@ func TestReplicationZeroFaultIdentity(t *testing.T) {
 				t.Fatalf("factor %d r=%d: tcp hop tree changed under replication", factor, r)
 			}
 		}
-		repCluster.Close()
 	}
 }
 
 // TestRecoveredSubtreeTraceEquivalence: under a shared fault seed and R = 2,
-// the three runtimes must fail over identically — the same subtrees recovered
+// both runtimes must fail over identically — the same subtrees recovered
 // via the same replicas (canonical trees carry the |recovered:<via> marks),
 // the same recovery accounting, and the same residual failed regions.
 func TestRecoveredSubtreeTraceEquivalence(t *testing.T) {
@@ -150,12 +117,9 @@ func TestRecoveredSubtreeTraceEquivalence(t *testing.T) {
 	init := n.Peers()[7]
 	inj := faults.New(faults.Config{Seed: 3, DropRate: 0.25})
 	rm := overlay.BuildReplicas(n, 2)
-	cluster := async.NewClusterOpts(n, proc, async.ClusterOptions{Faults: inj, Replicas: rm})
-	defer cluster.Close()
 
 	for _, r := range []int{0, 1 << 20} {
 		engine := core.RunOpts(init, proc, r, core.Options{Trace: true, Faults: inj, Replicas: rm})
-		actor := cluster.RunTraced(init.ID(), r)
 		tcp := tcpReplicated(t, n, init.ID(), proc.K, r, 2, inj)
 
 		if countOutcome(engine.Trace, trace.OutcomeRecovered) == 0 {
@@ -165,54 +129,39 @@ func TestRecoveredSubtreeTraceEquivalence(t *testing.T) {
 			t.Fatalf("r=%d: engine recovery accounting inconsistent: %+v", r, engine.Stats)
 		}
 		want := engine.Trace.Canonical()
-		if got := actor.Trace.Canonical(); got != want {
-			t.Fatalf("r=%d: actor tree differs under recovery:\nengine: %s\nactor:  %s", r, want, got)
-		}
 		if got := tcp.Trace.Canonical(); got != want {
 			t.Fatalf("r=%d: tcp tree differs under recovery:\nengine: %s\ntcp:    %s", r, want, got)
 		}
-		for name, st := range map[string]struct{ recovered, failovers, failures int }{
-			"actor": {actor.Stats.Recovered, actor.Stats.Failovers, actor.Stats.RPCFailures},
-			"tcp":   {tcp.Stats.Recovered, tcp.Stats.Failovers, tcp.Stats.RPCFailures},
-		} {
-			if st.recovered != engine.Stats.Recovered || st.failovers != engine.Stats.Failovers || st.failures != engine.Stats.RPCFailures {
-				t.Fatalf("r=%d: %s recovery stats (rec=%d fo=%d fail=%d) differ from engine (rec=%d fo=%d fail=%d)",
-					r, name, st.recovered, st.failovers, st.failures,
-					engine.Stats.Recovered, engine.Stats.Failovers, engine.Stats.RPCFailures)
-			}
+		if tcp.Stats.Recovered != engine.Stats.Recovered || tcp.Stats.Failovers != engine.Stats.Failovers || tcp.Stats.RPCFailures != engine.Stats.RPCFailures {
+			t.Fatalf("r=%d: tcp recovery stats (rec=%d fo=%d fail=%d) differ from engine (rec=%d fo=%d fail=%d)",
+				r, tcp.Stats.Recovered, tcp.Stats.Failovers, tcp.Stats.RPCFailures,
+				engine.Stats.Recovered, engine.Stats.Failovers, engine.Stats.RPCFailures)
 		}
 		// Residual losses — regions no replica could serve — must agree too.
-		for name, regs := range map[string][]overlay.Region{
-			"actor": actor.FailedRegions, "tcp": tcp.FailedRegions,
-		} {
-			if !reflect.DeepEqual(regionStrings(regs), regionStrings(engine.FailedRegions)) {
-				t.Fatalf("r=%d: %s failed regions %v differ from engine %v",
-					r, name, regionStrings(regs), regionStrings(engine.FailedRegions))
-			}
+		if !reflect.DeepEqual(regionStrings(tcp.FailedRegions), regionStrings(engine.FailedRegions)) {
+			t.Fatalf("r=%d: tcp failed regions %v differ from engine %v",
+				r, regionStrings(tcp.FailedRegions), regionStrings(engine.FailedRegions))
 		}
 	}
 }
 
-// TestFailedRegionsCanonical: every runtime reports FailedRegions in the same
+// TestFailedRegionsCanonical: both runtimes report FailedRegions in the same
 // canonical form — sorted by rendering, exact duplicates collapsed — so
 // results are comparable regardless of the order losses were recorded in.
 func TestFailedRegionsCanonical(t *testing.T) {
 	n, proc, _ := traceOverlay()
 	init := n.Peers()[7]
 	inj := faults.New(faults.Config{Seed: 3, DropRate: 0.25})
-	cluster := async.NewClusterInjected(n, proc, inj)
-	defer cluster.Close()
 
 	for _, r := range []int{0, 1 << 20} {
 		engine := core.RunOpts(init, proc, r, core.Options{Faults: inj})
-		actor := cluster.Run(init.ID(), r)
 		tcp := tcpReplicated(t, n, init.ID(), proc.K, r, 1, inj)
 
 		if len(engine.FailedRegions) == 0 {
 			t.Fatalf("r=%d: fault seed produced no losses; test is vacuous", r)
 		}
 		for name, regs := range map[string][]overlay.Region{
-			"engine": engine.FailedRegions, "actor": actor.FailedRegions, "tcp": tcp.FailedRegions,
+			"engine": engine.FailedRegions, "tcp": tcp.FailedRegions,
 		} {
 			keys := regionStrings(regs)
 			for i := 1; i < len(keys); i++ {
@@ -221,10 +170,9 @@ func TestFailedRegionsCanonical(t *testing.T) {
 				}
 			}
 		}
-		if !reflect.DeepEqual(regionStrings(actor.FailedRegions), regionStrings(engine.FailedRegions)) ||
-			!reflect.DeepEqual(regionStrings(tcp.FailedRegions), regionStrings(engine.FailedRegions)) {
-			t.Fatalf("r=%d: runtimes disagree on failed regions:\nengine: %v\nactor:  %v\ntcp:    %v", r,
-				regionStrings(engine.FailedRegions), regionStrings(actor.FailedRegions), regionStrings(tcp.FailedRegions))
+		if !reflect.DeepEqual(regionStrings(tcp.FailedRegions), regionStrings(engine.FailedRegions)) {
+			t.Fatalf("r=%d: runtimes disagree on failed regions:\nengine: %v\ntcp:    %v", r,
+				regionStrings(engine.FailedRegions), regionStrings(tcp.FailedRegions))
 		}
 	}
 }

@@ -25,7 +25,6 @@ package ripple
 import (
 	"io"
 
-	"ripple/internal/async"
 	"ripple/internal/bench"
 	"ripple/internal/cache"
 	"ripple/internal/can"
@@ -242,8 +241,8 @@ type (
 	Metric = geom.Metric
 
 	// TopKProcessor, SkylineProcessor and DiversifyProcessor are the paper's
-	// three instantiations as engine plug-ins, exposed for use with Cluster
-	// or custom drivers.
+	// three instantiations as engine plug-ins, exposed for use with Run or
+	// custom drivers.
 	TopKProcessor = topk.Processor
 	// SkylineProcessor is the skyline plug-in (§5).
 	SkylineProcessor = skyline.Processor
@@ -253,10 +252,6 @@ type (
 	// distance space over the storage engine (the exact dual of top-k with
 	// the Nearest scorer).
 	KNNProcessor = knn.Processor
-
-	// Cluster is the asynchronous actor runtime: one goroutine per peer,
-	// queries as real messages, validated to match the structural engine.
-	Cluster = async.Cluster
 )
 
 // L1 and L2 are the Minkowski metrics used throughout the paper.
@@ -288,10 +283,6 @@ func KNNBrute(ts []Tuple, center Point, k int, m Metric) []Tuple {
 func KNNSelect(answers []Tuple, center Point, k int, m Metric) []Tuple {
 	return knn.Select(answers, center, k, m)
 }
-
-// NewCluster starts the asynchronous actor runtime over an overlay snapshot
-// with the given query plug-in. Close it when done.
-func NewCluster(net Network, p Processor) *Cluster { return async.NewCluster(net, p) }
 
 // ReadCSV / WriteCSV / NormalizeTuples load and store tuples as CSV (id
 // column plus coordinates), with min-max normalisation and optional
@@ -383,8 +374,6 @@ type (
 	// RunOptions tunes a single engine run: tracing, storage engine override,
 	// query scope, and the result cache to consult.
 	RunOptions = core.Options
-	// ClusterOptions tunes the async actor runtime the same way.
-	ClusterOptions = async.ClusterOptions
 	// PeerOptions tunes a TCP peer server (fault tolerance, storage, cache).
 	PeerOptions = netpeer.Options
 )
@@ -435,11 +424,6 @@ func DefaultPlanner() *Planner { return plan.Default() }
 // cache, tracing, storage override).
 func RunWithOptions(initiator Node, p Processor, r int, opts RunOptions) *Result {
 	return core.RunOpts(initiator, p, r, opts)
-}
-
-// NewClusterWithOptions starts the async actor runtime with explicit options.
-func NewClusterWithOptions(net Network, p Processor, opts ClusterOptions) *Cluster {
-	return async.NewClusterOpts(net, p, opts)
 }
 
 // Insert adds a tuple to a simulated overlay at the owner of its point.

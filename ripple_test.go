@@ -152,19 +152,33 @@ func TestFacadeRangeAndKNN(t *testing.T) {
 	}
 }
 
-func TestFacadeAsyncCluster(t *testing.T) {
+func TestFacadeTCPDeployment(t *testing.T) {
 	ts := ripple.NBA(2000, 13)
 	net := ripple.BuildMIDAS(48, ripple.MIDASOptions{Dims: 6, Seed: 14})
 	ripple.Load(net, ts)
-	proc := &ripple.TopKProcessor{F: ripple.UniformLinear(6), K: 5}
-	cluster := ripple.NewCluster(net, proc)
-	defer cluster.Close()
-	res := cluster.Run(net.Peers()[0].ID(), ripple.Fast)
-	want := ripple.TopKBrute(ts, proc.F, 5)
-	gotTop := ripple.TopKBrute(res.Answers, proc.F, 5)
+	servers, addrs, err := ripple.DeployTCP(net, ripple.TopKWire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, s := range servers {
+			s.Close()
+		}
+	}()
+	f := ripple.UniformLinear(6)
+	params, err := (ripple.TopKWire{}).EncodeParams(f, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, _, err := ripple.QueryTCP(addrs[net.Peers()[0].ID()], "topk", params, 6, ripple.Fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ripple.TopKBrute(ts, f, 5)
+	got := ripple.TopKSelect(answers, f, 5)
 	for i := range want {
-		if gotTop[i].ID != want[i].ID {
-			t.Fatalf("async facade rank %d mismatch", i)
+		if got[i].ID != want[i].ID {
+			t.Fatalf("tcp facade rank %d mismatch", i)
 		}
 	}
 }

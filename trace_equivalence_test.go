@@ -1,16 +1,14 @@
-// Cross-runtime trace equivalence: the structural engine, the actor cluster
-// and a real TCP deployment must reconstruct structurally identical hop trees
-// for the same overlay, query and ripple parameter — same parent/child span
-// relation, same restriction regions, same mode phases, and (under a shared
-// fault seed) the same lost subtrees. Span IDs are deterministic hashes of
+// Cross-runtime trace equivalence: the structural engine and a real TCP
+// deployment must reconstruct structurally identical hop trees for the same
+// overlay, query and ripple parameter — same parent/child span relation, same
+// restriction regions, same mode phases, and (under a shared fault seed) the
+// same lost subtrees. Span IDs are deterministic hashes of
 // the traversal path, so the comparison is exact, not just shape-isomorphic.
 package ripple_test
 
 import (
 	"testing"
-	"time"
 
-	"ripple/internal/async"
 	"ripple/internal/core"
 	"ripple/internal/dataset"
 	"ripple/internal/faults"
@@ -30,35 +28,6 @@ func traceOverlay() (*midas.Network, *topk.Processor, int) {
 	return n, &topk.Processor{F: topk.UniformLinear(3), K: 5}, 3
 }
 
-// tcpTrace runs the traced query over a real loopback deployment.
-func tcpTrace(t *testing.T, n *midas.Network, initID string, k, r int, inj *faults.Injector) *trace.Tree {
-	t.Helper()
-	opts := netpeer.Options{Faults: inj, Logf: func(string, ...interface{}) {}}
-	if inj.Enabled() {
-		// The in-process engines have no retry loop: disable recovery so the
-		// TCP tree loses exactly the subtrees the engines lose.
-		opts.Retry = netpeer.RetryPolicy{MaxRetries: 0, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond}
-	}
-	servers, addrs, err := netpeer.DeployOpts(n, opts, topk.WireCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	params, err := (topk.WireCodec{}).EncodeParams(topk.UniformLinear(3), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := netpeer.QueryTraced(addrs[initID], "topk", params, 3, r, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Trace
-}
-
 // spanEdges flattens a tree into its exact (id, parent, peer) relation.
 func spanEdges(tr *trace.Tree) map[uint64]string {
 	edges := make(map[uint64]string)
@@ -71,35 +40,26 @@ func spanEdges(tr *trace.Tree) map[uint64]string {
 func TestTraceEquivalenceAcrossRuntimes(t *testing.T) {
 	n, proc, _ := traceOverlay()
 	init := n.Peers()[7]
-	cluster := async.NewCluster(n, proc)
-	defer cluster.Close()
 
 	for _, r := range []int{0, 2, 1 << 20} {
 		engine := core.RunOpts(init, proc, r, core.Options{Trace: true})
 		if engine.Trace == nil || engine.Trace.Root == nil {
 			t.Fatalf("r=%d: engine produced no trace", r)
 		}
-		actor := cluster.RunTraced(init.ID(), r)
-		tcp := tcpTrace(t, n, init.ID(), proc.K, r, nil)
+		tcp := tcpReplicated(t, n, init.ID(), proc.K, r, 1, nil).Trace
 
 		want := engine.Trace.Canonical()
-		if got := actor.Trace.Canonical(); got != want {
-			t.Fatalf("r=%d: actor tree differs from engine:\nengine: %s\nactor:  %s", r, want, got)
-		}
 		if got := tcp.Canonical(); got != want {
 			t.Fatalf("r=%d: tcp tree differs from engine:\nengine: %s\ntcp:    %s", r, want, got)
 		}
 		// Span identities (not just shapes) must match: IDs are path hashes.
-		we := spanEdges(engine.Trace)
-		for name, tr := range map[string]*trace.Tree{"actor": actor.Trace, "tcp": tcp} {
-			ge := spanEdges(tr)
-			if len(ge) != len(we) {
-				t.Fatalf("r=%d: %s has %d spans, engine %d", r, name, len(ge), len(we))
-			}
-			for id, peer := range we {
-				if ge[id] != peer {
-					t.Fatalf("r=%d: %s span %x on peer %q, engine has %q", r, name, id, ge[id], peer)
-				}
+		we, ge := spanEdges(engine.Trace), spanEdges(tcp)
+		if len(ge) != len(we) {
+			t.Fatalf("r=%d: tcp has %d spans, engine %d", r, len(ge), len(we))
+		}
+		for id, peer := range we {
+			if ge[id] != peer {
+				t.Fatalf("r=%d: tcp span %x on peer %q, engine has %q", r, id, ge[id], peer)
 			}
 		}
 		// A traced run must not change the answer or the cost accounting.
@@ -185,13 +145,10 @@ func TestTraceEquivalenceUnderFaults(t *testing.T) {
 	n, proc, _ := traceOverlay()
 	init := n.Peers()[7]
 	inj := faults.New(faults.Config{Seed: 3, DropRate: 0.25})
-	cluster := async.NewClusterInjected(n, proc, inj)
-	defer cluster.Close()
 
 	for _, r := range []int{0, 1 << 20} {
 		engine := core.RunOpts(init, proc, r, core.Options{Trace: true, Faults: inj})
-		actor := cluster.RunTraced(init.ID(), r)
-		tcp := tcpTrace(t, n, init.ID(), proc.K, r, inj)
+		tcp := tcpReplicated(t, n, init.ID(), proc.K, r, 1, inj)
 
 		lost := 0
 		engine.Trace.Walk(func(nd *trace.Node) {
@@ -203,14 +160,11 @@ func TestTraceEquivalenceUnderFaults(t *testing.T) {
 			t.Fatalf("r=%d: fault seed produced no losses; test is vacuous", r)
 		}
 		want := engine.Trace.Canonical()
-		if got := actor.Trace.Canonical(); got != want {
-			t.Fatalf("r=%d: actor tree differs under faults:\nengine: %s\nactor:  %s", r, want, got)
-		}
-		if got := tcp.Canonical(); got != want {
+		if got := tcp.Trace.Canonical(); got != want {
 			t.Fatalf("r=%d: tcp tree differs under faults:\nengine: %s\ntcp:    %s", r, want, got)
 		}
-		// The lost subtrees bound the partial answer on every runtime alike.
-		if !engine.Partial() || !actor.Partial() {
+		// The lost subtrees bound the partial answer on both runtimes alike.
+		if !engine.Partial() || !tcp.Partial() {
 			t.Fatalf("r=%d: losses recorded but result not marked partial", r)
 		}
 	}
