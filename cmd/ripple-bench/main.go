@@ -36,12 +36,9 @@ func main() {
 	dims := flag.String("dims", "", "override: comma-separated dimensionalities for Figures 5/8/10")
 	synthSize := flag.Int("synth-size", 0, "override: SYNTH dataset cardinality")
 	faultRates := flag.String("fault-rates", "", "override: comma-separated drop probabilities for churn-faults")
-	concurrency := flag.String("concurrency", "", "override: comma-separated worker counts for the throughput experiment")
 	jsonDir := flag.String("json", "", "also export each figure's full result as JSON into this directory")
 	replication := flag.String("replication", "", "override: comma-separated zone replication factors for the recovery experiment (1 = off)")
 	recoveryRates := flag.String("recovery-rates", "", "override: comma-separated drop probabilities for the recovery experiment")
-	zipfSkews := flag.String("zipf", "", "override: comma-separated zipf skews for the zipf-cache experiment")
-	mutateRate := flag.Float64("mutate-rate", -1, "override: insert fraction of the zipf-cache workload, in [0,1]")
 	flag.Parse()
 
 	var cfg bench.Config
@@ -75,24 +72,11 @@ func main() {
 	if *faultRates != "" {
 		cfg.FaultRates = parseFloats(*faultRates, "-fault-rates")
 	}
-	if *concurrency != "" {
-		cfg.Concurrency = parseInts(*concurrency, "-concurrency")
-	}
 	if *replication != "" {
 		cfg.ReplicationFactors = parseInts(*replication, "-replication")
 	}
 	if *recoveryRates != "" {
 		cfg.RecoveryRates = parseFloats(*recoveryRates, "-recovery-rates")
-	}
-	if *zipfSkews != "" {
-		cfg.ZipfSkews = parseSkews(*zipfSkews, "-zipf")
-	}
-	if *mutateRate >= 0 {
-		if *mutateRate > 1 {
-			fmt.Fprintf(os.Stderr, "bad -mutate-rate %v (want a fraction in [0,1])\n", *mutateRate)
-			os.Exit(2)
-		}
-		cfg.MutateRate = *mutateRate
 	}
 
 	if *list {
@@ -152,21 +136,6 @@ func parseFloats(csv, flagName string) []float64 {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil || v < 0 || v > 1 {
 			fmt.Fprintf(os.Stderr, "bad %s entry %q (want probabilities in [0,1])\n", flagName, part)
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// parseSkews is parseFloats without the probability cap: zipf exponents
-// above 1 are the interesting regime.
-func parseSkews(csv, flagName string) []float64 {
-	var out []float64
-	for _, part := range strings.Split(csv, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v < 0 {
-			fmt.Fprintf(os.Stderr, "bad %s entry %q (want skews >= 0)\n", flagName, part)
 			os.Exit(2)
 		}
 		out = append(out, v)

@@ -24,6 +24,7 @@ import (
 // initiator for every single-tuple query.
 func NewSolver(initiator *can.Peer, q diversify.Query) diversify.SingleSolver {
 	return func(base []dataset.Tuple, exclude map[uint64]bool, tau float64) (*dataset.Tuple, sim.Stats) {
+		phi := q.PhiScorer(base)
 		res := naive.Broadcast(initiator, func(w overlay.Node) []dataset.Tuple {
 			// Each peer streams its single best eligible candidate; local
 			// filtering by tau is the only pruning the baseline performs.
@@ -34,7 +35,7 @@ func NewSolver(initiator *can.Peer, q diversify.Query) diversify.SingleSolver {
 				if exclude[t.ID] {
 					continue
 				}
-				s := q.Phi(t.Vec, base)
+				s := phi(t.Vec)
 				if s < bestScore || (s == bestScore && best != nil && t.ID < best.ID) {
 					best, bestScore = t, s
 				}
@@ -48,7 +49,7 @@ func NewSolver(initiator *can.Peer, q diversify.Query) diversify.SingleSolver {
 		winScore := math.Inf(1)
 		for i := range res.Answers {
 			t := &res.Answers[i]
-			s := q.Phi(t.Vec, base)
+			s := phi(t.Vec)
 			if s < winScore || (s == winScore && winner != nil && t.ID < winner.ID) {
 				winner, winScore = t, s
 			}

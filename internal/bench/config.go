@@ -53,18 +53,6 @@ type Config struct {
 	// replication factor (1 = the unreplicated baseline).
 	RecoveryRates      []float64
 	ReplicationFactors []int
-
-	// Concurrency is the x-axis of the transport throughput experiment: how
-	// many workers share one client against a loopback deployment.
-	Concurrency []int
-
-	// ZipfSkews is the x-axis of the result-cache experiment: the exponent
-	// of the zipfian query-popularity distribution.
-	ZipfSkews []float64
-	// MutateRate is the fraction of result-cache workload operations that
-	// are wire-level inserts; each insert invalidates the covering cache
-	// entries through the z-order index.
-	MutateRate float64
 }
 
 // Default returns a configuration that reproduces every figure's shape on a
@@ -90,9 +78,6 @@ func Default() Config {
 		DivMaxIters:   5,
 		Seed:          1,
 		FaultRates:    []float64{0, 0.02, 0.05, 0.1, 0.2},
-		Concurrency:   []int{1, 8, 64},
-		ZipfSkews:     []float64{0.5, 0.9, 1.1},
-		MutateRate:    0.02,
 
 		RecoveryRates:      []float64{0.05, 0.15, 0.25},
 		ReplicationFactors: []int{1, 2, 3},
@@ -117,8 +102,6 @@ func Quick() Config {
 	c.DivQueries = 2
 	c.DivMaxIters = 3
 	c.FaultRates = []float64{0, 0.05, 0.2}
-	c.Concurrency = []int{1, 8}
-	c.ZipfSkews = []float64{0.9, 1.1}
 	c.RecoveryRates = []float64{0.05, 0.25}
 	c.ReplicationFactors = []int{1, 2}
 	return c
@@ -147,9 +130,6 @@ func Paper() Config {
 		DivMaxIters:   10,
 		Seed:          1,
 		FaultRates:    []float64{0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4},
-		Concurrency:   []int{1, 8, 64, 256},
-		ZipfSkews:     []float64{0.5, 0.7, 0.9, 1.1, 1.3},
-		MutateRate:    0.02,
 
 		RecoveryRates:      []float64{0.05, 0.1, 0.15, 0.2, 0.25},
 		ReplicationFactors: []int{1, 2, 3},

@@ -65,7 +65,7 @@ type jsonRow struct {
 }
 
 // WriteJSON exports the figure as indented JSON, for committing experiment
-// baselines (see BENCH_PR6.json) and for external tooling.
+// results (see results/recovery.json) and for external tooling.
 func (r *Result) WriteJSON(w io.Writer) error {
 	capA, capB := r.MetricA, r.MetricB
 	if capA == "" {

@@ -31,8 +31,6 @@ func Runners() []Runner {
 		{Name: "recovery", Desc: "Robustness: recall vs drop rate per zone replication factor (failover on)", Run: Recovery},
 		{Name: "ablation-border", Desc: "Ablation: §5.2 border-link optimisation on/off", Run: AblationBorder},
 		{Name: "ablation-overlay", Desc: "Ablation: RIPPLE over MIDAS vs over CAN", Run: AblationOverlay},
-		{Name: "throughput", Desc: "Transport: aggregate QPS and p95 latency vs client concurrency, mux vs sequential", Run: Throughput},
-		{Name: "zipf-cache", Desc: "Result cache: QPS and hit rate vs zipf skew under a write mix, cache on/off", Run: ZipfCache},
 		{Name: "plan", Desc: "Adaptive planner: per-query mode/r selection vs static ripple settings on a mixed workload", Run: PlanAdaptive},
 	}
 }

@@ -39,19 +39,28 @@ func EncodeAnswers(ts []dataset.Tuple) []byte {
 }
 
 // DecodeAnswers parses an EncodeAnswers payload back into tuples (in
-// canonical ID order).
+// canonical ID order). It accepts only canonical payloads, so an accepted
+// payload re-encodes to itself: IDs must be strictly increasing, and the
+// count is checked against the bytes remaining (every tuple takes at least
+// 10) before anything is allocated.
 func DecodeAnswers(b []byte) ([]dataset.Tuple, error) {
 	if len(b) < 4 {
 		return nil, errors.New("cache: truncated answer payload")
 	}
 	n := binary.BigEndian.Uint32(b)
 	b = b[4:]
+	if uint64(n) > uint64(len(b)/10) {
+		return nil, errors.New("cache: answer count exceeds payload")
+	}
 	out := make([]dataset.Tuple, 0, n)
 	for i := uint32(0); i < n; i++ {
 		if len(b) < 10 {
 			return nil, errors.New("cache: truncated answer tuple")
 		}
 		id := binary.BigEndian.Uint64(b)
+		if i > 0 && id <= out[i-1].ID {
+			return nil, errors.New("cache: answer IDs not strictly increasing")
+		}
 		d := int(binary.BigEndian.Uint16(b[8:]))
 		b = b[10:]
 		if len(b) < 8*d {

@@ -184,6 +184,22 @@ func TestAnswerCodecCanonical(t *testing.T) {
 	}
 }
 
+// FuzzDecodeAnswers: DecodeAnswers never panics, and every payload it
+// accepts is canonical — it re-encodes byte-identically. The seed corpus
+// (testdata/fuzz/FuzzDecodeAnswers) holds empty, truncated, hostile-count,
+// unsorted, duplicate-ID and real encodings.
+func FuzzDecodeAnswers(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ts, err := DecodeAnswers(b)
+		if err != nil {
+			return
+		}
+		if again := EncodeAnswers(ts); !bytes.Equal(again, b) {
+			t.Fatalf("accepted payload re-encodes differently:\n got %x\nwant %x", again, b)
+		}
+	})
+}
+
 func TestFootprintWholeDomainIsRoot(t *testing.T) {
 	cells := footprint(3, overlay.Region{})
 	if len(cells) != 1 || cells[0].free != uint8(3*20) || cells[0].prefix != 0 {

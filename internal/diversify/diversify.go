@@ -116,6 +116,14 @@ func (q Query) Phi(t geom.Point, O []dataset.Tuple) float64 {
 	return q.phiCtx(t, O, q.context(O))
 }
 
+// PhiScorer returns Phi against a fixed O with context(O) computed once, so
+// scoring many candidates against the same base set costs O(|O|) each
+// instead of O(|O|²).
+func (q Query) PhiScorer(O []dataset.Tuple) func(t geom.Point) float64 {
+	c := q.context(O)
+	return func(t geom.Point) float64 { return q.phiCtx(t, O, c) }
+}
+
 func (q Query) phiCtx(t geom.Point, O []dataset.Tuple, c baseContext) float64 {
 	if len(O) == 0 {
 		return q.Lambda * q.Dr.Dist(t, q.Q)
@@ -151,18 +159,6 @@ func (q Query) phiLowerRectCtx(b geom.Rect, O []dataset.Tuple, c baseContext) fl
 		}
 	}
 	return q.Lambda*pos(q.Dr.MinDist(q.Q, b)-c.maxRel) + (1-q.Lambda)*pos(c.minPair-minToBoxUB)
-}
-
-// PhiLower is φ⁻ over a union-of-boxes region.
-func (q Query) PhiLower(region overlay.Region, O []dataset.Tuple) float64 {
-	c := q.context(O)
-	best := math.Inf(1)
-	for _, b := range region.Boxes {
-		if v := q.phiLowerRectCtx(b, O, c); v < best {
-			best = v
-		}
-	}
-	return best
 }
 
 func pos(v float64) float64 {
@@ -294,11 +290,12 @@ func (p *Processor) LocalAnswer(w overlay.Node, local core.State) []dataset.Tupl
 func RunSingle(initiator overlay.Node, q Query, base []dataset.Tuple, exclude map[uint64]bool, tau0 float64, r int) (*dataset.Tuple, sim.Stats) {
 	p := &Processor{Query: q, Base: base, Exclude: exclude, Tau0: tau0}
 	res := core.Run(initiator, p, r)
+	phi := q.PhiScorer(base)
 	var best *dataset.Tuple
 	bestScore := math.Inf(1)
 	for i := range res.Answers {
 		t := &res.Answers[i]
-		s := q.Phi(t.Vec, base)
+		s := phi(t.Vec)
 		if s < bestScore || (s == bestScore && best != nil && t.ID < best.ID) {
 			best, bestScore = t, s
 		}
@@ -312,6 +309,7 @@ func RunSingle(initiator overlay.Node, q Query, base []dataset.Tuple, exclude ma
 // BruteSingle is the centralized oracle for RunSingle, used by tests and the
 // baseline-fairness checks.
 func BruteSingle(ts []dataset.Tuple, q Query, base []dataset.Tuple, exclude map[uint64]bool, tau0 float64) *dataset.Tuple {
+	phi := q.PhiScorer(base)
 	var best *dataset.Tuple
 	bestScore := math.Inf(1)
 	for i := range ts {
@@ -319,7 +317,7 @@ func BruteSingle(ts []dataset.Tuple, q Query, base []dataset.Tuple, exclude map[
 		if exclude[t.ID] {
 			continue
 		}
-		s := q.Phi(t.Vec, base)
+		s := phi(t.Vec)
 		if s < bestScore || (s == bestScore && best != nil && t.ID < best.ID) {
 			best, bestScore = t, s
 		}

@@ -11,7 +11,6 @@ import (
 
 	"ripple/internal/core"
 	"ripple/internal/dataset"
-	"ripple/internal/faults"
 	"ripple/internal/metrics"
 	"ripple/internal/midas"
 	"ripple/internal/overlay"
@@ -436,74 +435,3 @@ func TestMuxOversizedFrameReportedOnStream(t *testing.T) {
 		t.Fatalf("rejection reply: %+v", reply)
 	}
 }
-
-// benchThroughput measures aggregate query throughput through one shared
-// client at the given concurrency. sequential pins both the deployment and
-// the client to the pre-mux one-call-per-connection protocol, which is the
-// baseline the mux columns are compared against. Inter-peer links carry an
-// injected wall-clock delay so a query costs latency, not just loopback
-// CPU: the throughput difference under concurrency is then the transport's
-// ability to overlap that latency across in-flight calls, which is what
-// multiplexing buys on a real network.
-func benchThroughput(b *testing.B, concurrency int, sequential bool) {
-	net := midas.Build(8, midas.Options{Dims: 2, Seed: 23})
-	overlay.Load(net, dataset.Uniform(500, 2, 29))
-	opts := Options{
-		Logf:       func(string, ...interface{}) {},
-		DisableMux: sequential,
-		Faults: faults.New(faults.Config{
-			Seed:      1,
-			DelayRate: 1,
-			Delay:     500 * time.Microsecond,
-		}),
-	}
-	servers, _, err := DeployOpts(net, opts, topk.WireCodec{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	params, err := topk.WireCodec{}.EncodeParams(topk.UniformLinear(2), 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var c *Client
-	if sequential {
-		c = NewSequentialClient(servers[0].Addr(), 0)
-	} else {
-		c = NewClient(servers[0].Addr(), 0)
-	}
-	defer c.Close()
-	if _, _, err := c.Query("topk", params, 2, 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for next.Add(1) <= int64(b.N) {
-				if _, _, err := c.Query("topk", params, 2, 0); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// Throughput tier: ns/op is aggregate wall time per completed query, so
-// queries/s = 1e9 / (ns/op). The mux-vs-sequential pairs at each
-// concurrency are the committed BENCH_PR5.json baseline.
-func BenchmarkMuxThroughputC1(b *testing.B)  { benchThroughput(b, 1, false) }
-func BenchmarkMuxThroughputC8(b *testing.B)  { benchThroughput(b, 8, false) }
-func BenchmarkMuxThroughputC64(b *testing.B) { benchThroughput(b, 64, false) }
-func BenchmarkSeqThroughputC1(b *testing.B)  { benchThroughput(b, 1, true) }
-func BenchmarkSeqThroughputC8(b *testing.B)  { benchThroughput(b, 8, true) }
-func BenchmarkSeqThroughputC64(b *testing.B) { benchThroughput(b, 64, true) }

@@ -33,7 +33,6 @@ import (
 	"ripple/internal/core"
 	"ripple/internal/dataset"
 	"ripple/internal/faults"
-	"ripple/internal/geom"
 	"ripple/internal/overlay"
 	"ripple/internal/plan"
 	"ripple/internal/sim"
@@ -456,13 +455,10 @@ func (s *Server) safeProcess(call *wire.Call) (reply *wire.Reply) {
 }
 
 // node adapts the peer's local share to the engine's Node interface. One
-// node instance lives for exactly one call, which is what lets it cache the
-// per-query score index (overlay.ScoreIndexer): within a call every
-// processor callback sees the same scoring key.
+// node instance lives for exactly one call.
 type node struct {
 	cfg *Config
 	st  storage.Store
-	ix  *overlay.Index
 }
 
 func (n *node) ID() string              { return n.cfg.ID }
@@ -473,16 +469,6 @@ func (n *node) Tuples() []dataset.Tuple { return n.cfg.Tuples }
 // Store implements storage.Provider: the share's store, built once per server
 // (or per installed replica share), not per call.
 func (n *node) Store() storage.Store { return n.st }
-
-// ScoreIndex implements overlay.ScoreIndexer: built on first use, reused by
-// every later callback of the same call. The index is a sorted view over the
-// share's tuples, not a second copy (the share is immutable for the call).
-func (n *node) ScoreIndex(key func(geom.Point) float64) *overlay.Index {
-	if n.ix == nil {
-		n.ix = overlay.IndexView(n.cfg.Tuples, key)
-	}
-	return n.ix
-}
 
 // process dispatches one delivery: mutation and invalidation ops go to the
 // wire-level data-mutation path (mutate.go), queries to processQuery — the

@@ -18,7 +18,6 @@ import (
 	"sort"
 
 	"ripple/internal/dataset"
-	"ripple/internal/geom"
 	"ripple/internal/storage"
 )
 
@@ -131,15 +130,6 @@ func (a ActingNode) Links() []Link { return a.Primary.Links() }
 
 // Tuples returns the primary's tuples (the replica mirrors them).
 func (a ActingNode) Tuples() []dataset.Tuple { return a.Primary.Tuples() }
-
-// ScoreIndex builds a per-step score index over the primary's tuples.
-// ActingNode values are created per recovery step, so no caching is needed;
-// delegating to the primary would violate ScoreIndexer's one-query contract
-// when the primary outlives queries (simulation nodes do). The index is a
-// view: it aliases the primary's tuple slice without copying it.
-func (a ActingNode) ScoreIndex(key func(geom.Point) float64) *Index {
-	return IndexView(a.Primary.Tuples(), key)
-}
 
 // Store returns the storage engine serving the primary's zone, so a recovery
 // step processes against the mirrored share with the same engine (and the

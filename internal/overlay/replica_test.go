@@ -133,10 +133,6 @@ func TestActingNodeDelegatesToPrimary(t *testing.T) {
 	if PhysicalID(primary) != "a" {
 		t.Fatalf("PhysicalID(plain) = %s, want a", PhysicalID(primary))
 	}
-	ix := act.ScoreIndex(func(p geom.Point) float64 { return p[0] })
-	if ix == nil {
-		t.Fatal("ActingNode.ScoreIndex returned nil")
-	}
 }
 
 func TestCanonicalRegionsSortsAndDedups(t *testing.T) {

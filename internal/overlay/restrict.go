@@ -9,7 +9,7 @@ import (
 // Restricted wraps a node so that local processing sees only the tuples
 // inside scope: the processor-facing lens behind scoped ("hot region")
 // queries. Like ScanOnly it delegates the Node interface but hides the
-// storage.Provider and ScoreIndexer implementations, so storage.Of falls
+// storage.Provider implementation, so storage.Of falls
 // back to a flat scan over the filtered share — every runtime computes a
 // scoped local answer from exactly the same tuple set regardless of the
 // peer's storage engine. An empty scope returns w unchanged, keeping the

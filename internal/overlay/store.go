@@ -12,10 +12,10 @@ import (
 func StoreOf(w Node) storage.Store { return storage.Of(w) }
 
 // ScanOnly wraps a node so that local processing sees only the flat-slice
-// baseline: the wrapper hides the node's storage.Provider and ScoreIndexer
-// implementations while delegating the Node interface itself. The engine uses
-// it when core.Options.Storage selects the scan reference engine, giving
-// every indexed result a same-process baseline to compare against.
+// baseline: the wrapper hides the node's storage.Provider implementation
+// while delegating the Node interface itself. The engine uses it when
+// core.Options.Storage selects the scan reference engine, giving every
+// indexed result a same-process baseline to compare against.
 //
 // Only processor-facing call sites may wrap: routing, fault injection and
 // trace identity key on the original node (PhysicalID type-switches on

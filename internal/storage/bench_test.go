@@ -12,8 +12,9 @@ import (
 // Paired scan-vs-rtree measurements of the peer-local compute path at
 // realistic per-peer zone sizes (10k / 100k / 1M tuples). Every benchmark
 // runs the identical derived operation (ops.go) on both engines, so the
-// ratio between arms is exactly the local-compute speedup the R-tree buys;
-// `make bench-storage` commits the numbers as BENCH_PR7.json.
+// ratio between arms is exactly the local-compute speedup the R-tree buys.
+// In-process and ungated; the fleet's local_heavy workload (benchmark/)
+// measures the engine end to end.
 
 const benchDims = 4
 
